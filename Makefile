@@ -38,7 +38,7 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR9.json
+BENCH_JSON ?= BENCH_PR12.json
 BENCH_REF ?= BENCH_PR8.json
 
 .PHONY: check vet lint build test race leaktest bench bench-smoke

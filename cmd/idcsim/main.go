@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -72,7 +73,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 	predH := fs.Int("pred-horizon", 8, "MPC prediction horizon β1")
 	ctrlH := fs.Int("ctrl-horizon", 3, "MPC control horizon β2")
 	budgetsFlag := fs.String("budgets", "", "per-IDC budgets in MW, comma separated (peak shaving)")
-	diurnal := fs.Bool("diurnal", false, "drive portals with a diurnal workload instead of Table I")
+	diurnal := fs.Bool("diurnal", false, "drive portals with the daily experiment's diurnal workload (one day = 86400/ts steps) instead of Table I")
 	workloadTrace := fs.String("workload-trace", "", "replay a recorded rate trace (one rate per line or CSV) across the portals, scaled by the Table I proportions")
 	feedPath := fs.String("feed", "", "drive portal demands from a JSONL sample stream, one {\"seq\":k,\"values\":[...]} per line ('-' = stdin)")
 	staleTicks := fs.Int("stale-ticks", 0, "tolerate this many consecutive slow ticks on held prices when the price model fails (0 = fail fast)")
@@ -240,17 +241,11 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		}
 		sc.Demands = portals.Demands
 	} else if *diurnal {
-		gens := make([]workload.Generator, top.C())
-		for i, base := range workload.TableI() {
-			g, err := workload.NewDiurnal(workload.DiurnalConfig{
-				Base: base / 2, NoiseFrac: 0.04, Seed: *seed + int64(i),
-			})
-			if err != nil {
-				return err
-			}
-			gens[i] = g
+		// The daily experiment's synthetic day, one day long at this -ts.
+		if *ts <= 0 {
+			return fmt.Errorf("-diurnal needs a positive -ts, got %g", *ts)
 		}
-		portals, err := workload.NewPortals(gens...)
+		portals, err := workload.DailyPortals(int(math.Round(86400 / *ts)), *seed)
 		if err != nil {
 			return err
 		}

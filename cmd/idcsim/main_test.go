@@ -303,3 +303,15 @@ func TestStaleTicksFlag(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 }
+
+// TestDiurnalRunsAFullDay runs one whole synthetic day: the diurnal demand
+// must stay inside the paper topology's capacity at its daily peak.
+func TestDiurnalRunsAFullDay(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-diurnal", "-ts", "300", "-steps", "288", "-no-baseline"}, &buf); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); n != 289 {
+		t.Fatalf("%d lines, want a header and 288 steps", n)
+	}
+}

@@ -7,7 +7,8 @@
 //	slow loop (per price update)  — observe demand, update the AR/RLS
 //	     forecaster, re-solve the Rao-style reference LP (eq. 46) on the
 //	     predicted demand, clamp each IDC's power reference to its budget
-//	     (§IV.D peak shaving), and rebuild the price-dependent model.
+//	     (§IV.D peak shaving), and rebuild the price-dependent model when
+//	     the prices changed.
 //	fast loop (per sampling step) — solve the constrained MPC (eqs. 42–45)
 //	     for the workload re-allocation ΔU, apply the first move, and run
 //	     the server sleep control (eq. 35) on the new allocation.
@@ -455,8 +456,8 @@ func (c *Controller) Step(demands []float64) (*Telemetry, error) {
 	return tel, nil
 }
 
-// slowTick refreshes prices, the model, the reference optimizer and the
-// budget clamp.
+// slowTick refreshes prices, the model (when the prices changed), the
+// reference optimizer and the budget clamp.
 func (c *Controller) slowTick(hour int, demands []float64) error {
 	start := c.now()
 	top := c.cfg.Topology
@@ -510,7 +511,6 @@ func (c *Controller) slowTick(hour int, demands []float64) error {
 		prices = c.prices
 	} else {
 		c.staleTicks = 0
-		c.prices = prices
 		// Anomaly detection sees only genuinely observed prices — held
 		// vectors would bias the window toward the outage value.
 		if c.spikes != nil {
@@ -522,12 +522,19 @@ func (c *Controller) slowTick(hour int, demands []float64) error {
 			}
 		}
 
-		// Rebuild the folded model (eq. 36) with the new prices.
-		model, err := ctrl.NewFoldedModel(top, prices, c.cfg.Ts)
-		if err != nil {
-			return err
+		// Rebuild the folded model (eq. 36) only when the floored prices
+		// changed. The model depends on nothing else that varies (topology
+		// and Ts are fixed), so keeping it on a bitwise-equal vector is
+		// exact — and it keeps the MPC's condensed cache, QP workspace and
+		// warm-start plan, which a new model identity would discard.
+		if c.model == nil || !sameBits(prices, c.prices) {
+			model, err := ctrl.NewFoldedModel(top, prices, c.cfg.Ts)
+			if err != nil {
+				return err
+			}
+			c.model = model
 		}
-		c.model = model
+		c.prices = prices
 	}
 
 	// Reference optimizer input: predicted demand when forecasting.
@@ -690,6 +697,19 @@ func (c *Controller) referenceTrajectory(prices []float64) [][]float64 {
 		return nil
 	}
 	return traj
+}
+
+// sameBits reports whether a and b hold bitwise-identical values.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func anyPositive(xs []float64) bool {

@@ -34,8 +34,9 @@ var modelVersions atomic.Uint64
 
 // Model is the discretized state-space system for one price vector.
 // Prices enter the A matrix, so the model is rebuilt whenever the
-// real-time price changes (once per slow-loop tick); each rebuild gets a
-// fresh Version, which is what invalidates MPC condensed-matrix caches.
+// real-time price changes (the slow loop compares the prices on every tick);
+// each rebuild gets a fresh Version, which is what invalidates MPC
+// condensed-matrix caches.
 //
 // Any mutation of an already-published Model must go through a method
 // that calls bumpVersion, or version-keyed caches serve stale matrices;

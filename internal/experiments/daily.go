@@ -19,18 +19,7 @@ import (
 // would actually size the controller with.
 func runDaily() (*Output, error) {
 	top := idc.PaperTopology()
-	gens := make([]workload.Generator, top.C())
-	for i, base := range workload.TableI() {
-		g, err := workload.NewDiurnal(workload.DiurnalConfig{
-			Base: base / 3, PeakBoost: 1.0, NoiseFrac: 0.04,
-			StepsPerDay: 288, Seed: int64(7 + i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		gens[i] = g
-	}
-	portals, err := workload.NewPortals(gens...)
+	portals, err := workload.DailyPortals(288, 7)
 	if err != nil {
 		return nil, err
 	}

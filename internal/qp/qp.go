@@ -110,6 +110,14 @@ const (
 // lastActive working-set hint shortens the iteration path, so a warm
 // structured solve agrees with a cold one only to rounding.
 //
+// The replay caches stay bounded over a long-lived workspace:
+//   - the per-call-index prune sequences and Schur factors keep only what
+//     the last solve reached — SolveWith drops the call indices it did not;
+//   - within a solve, a prune call starts from the previous call's sequence
+//     when that shares a longer id prefix than its own cached one, so a cold
+//     call re-orthogonalizes only from the inserted row onward;
+//   - the Schur pair cache is stored packed, upper triangle only.
+//
 // Reusing a Workspace after H, Aeq or Ain changed produces wrong results —
 // build a fresh one instead. A nil *Workspace is accepted everywhere and
 // means "no cross-solve reuse". Not safe for concurrent use.
@@ -142,8 +150,9 @@ type Workspace struct {
 	nIDs int
 	// zByID caches H⁻¹aᵢ per working-set row id (nil = not yet computed).
 	zByID [][]float64
-	// schurV/schurSet cache aᵢᵀ·H⁻¹·aⱼ at index a·nIDs+b for the ascending
-	// id pair (a ≤ b), so the (i≤j) orientation of each dot product is
+	// schurV/schurSet cache aᵢᵀ·H⁻¹·aⱼ for the ascending id pair a ≤ b,
+	// packed as the upper triangle at index b(b+1)/2 + a (pairIndex). Only
+	// a ≤ b is ever read, so the (i≤j) orientation of each dot product is
 	// stable and a cached value is the bit a fresh computation produces.
 	schurV   []float64
 	schurSet []bool
@@ -345,9 +354,9 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
 		ws.zByID = make([][]float64, need)
 		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
-		ws.schurV = make([]float64, need*need)
+		ws.schurV = make([]float64, pairIndex(0, need))
 		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
-		ws.schurSet = make([]bool, need*need)
+		ws.schurSet = make([]bool, pairIndex(0, need))
 		ws.nIDs = need
 	}
 
@@ -385,6 +394,11 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 	if errors.Is(err, ErrIterationLimit) && ws.hChol != nil && (p.form == nil || !p.form.structured()) {
 		res, err = activeSetLoop(p, nil, x, n, mEq, mIn, ws)
 	}
+	// Keep only the replay entries this solve reached: a workspace lives as
+	// long as its model, and one cold solve's extra call indices would
+	// otherwise stay allocated through every shorter warm solve after it.
+	ws.prune.endSolve()
+	ws.sfc.endSolve()
 	if res != nil {
 		ws.instr.Iterations.Add(uint64(res.Iterations))
 	}
@@ -615,10 +629,9 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 		// which persists across iterations and solves.
 		ws.schurBuf = mat.ReuseDense(ws.schurBuf, k, k)
 		schur := ws.schurBuf
-		nIDs := ws.nIDs
 		for i := 0; i < k; i++ {
 			for j := i; j < k; j++ {
-				idx := workIDs[i]*nIDs + workIDs[j]
+				idx := pairIndex(workIDs[i], workIDs[j])
 				v := ws.schurV[idx]
 				if !ws.schurSet[idx] {
 					v = rowDotID(p, mEq, workIDs[i], workRows[i], z[j])
@@ -707,6 +720,10 @@ func denseKKTStep(p *Problem, workRows [][]float64, grad []float64, n int) (dir,
 	return sol[:n], sol[n:], nil
 }
 
+// pairIndex is the packed upper-triangle index of the id pair a ≤ b in the
+// Schur pair cache; pairIndex(0, n) is the cache size for n ids.
+func pairIndex(a, b int) int { return b*(b+1)/2 + a }
+
 // schurFactorEntry is one cached Schur factorization: the exact working-set
 // id sequence it was built for and the Cholesky factor of its S. An empty
 // ids marks the entry invalid (fresh, or its last Factor failed).
@@ -728,6 +745,13 @@ type schurFactorCache struct {
 
 // beginSolve rewinds the call counter; each kktStep claims the next slot.
 func (c *schurFactorCache) beginSolve() { c.call = 0 }
+
+// endSolve drops the entries of the call indices the solve did not reach,
+// so their factors can be freed.
+func (c *schurFactorCache) endSolve() {
+	clear(c.entries[c.call:])
+	c.entries = c.entries[:c.call]
+}
 
 // next returns (growing on demand) the entry for the current call index.
 //
@@ -783,7 +807,11 @@ type pruneEntry struct {
 // rebuilt on every call. Instead each call index within a solve owns its
 // own cached sequence: a steady-state re-solve replays the same evolution
 // and hits every cache position, making the whole solve recompute- and
-// allocation-free.
+// allocation-free. A call whose cached sequence diverges early starts from
+// the previous call's sequence instead when that one shares a longer
+// prefix: entries for an identical id prefix are identical, and their
+// vectors are never written after creation, so the copy shares them
+// exactly.
 type pruneState struct {
 	seqs [][]pruneEntry
 	call int
@@ -792,6 +820,36 @@ type pruneState struct {
 // beginSolve rewinds the per-solve call counter so the first
 // pruneDependent call of this solve replays the first call of the last one.
 func (ps *pruneState) beginSolve() { ps.call = 0 }
+
+// endSolve drops the sequences of the call indices the solve did not reach,
+// so their basis vectors can be freed.
+func (ps *pruneState) endSolve() {
+	clear(ps.seqs[ps.call:])
+	ps.seqs = ps.seqs[:ps.call]
+}
+
+// sharedPrefix returns how many leading entries of seq match the id order
+// pruneDependent processes: the equalities 0…mEq−1, then the active
+// inequalities ascending.
+func sharedPrefix(seq []pruneEntry, active []bool, mEq int) int {
+	n := 0
+	for i := 0; i < mEq; i++ {
+		if n == len(seq) || seq[n].id != i {
+			return n
+		}
+		n++
+	}
+	for i, a := range active {
+		if !a {
+			continue
+		}
+		if n == len(seq) || seq[n].id != mEq+i {
+			return n
+		}
+		n++
+	}
+	return n
+}
 
 // pruneDependent removes active inequality constraints whose normals are
 // linearly dependent with the equality rows and earlier active rows, keeping
@@ -804,6 +862,13 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 		ps.seqs = append(ps.seqs, nil)
 	}
 	entries := ps.seqs[ps.call]
+	if ps.call > 0 {
+		prev := ps.seqs[ps.call-1]
+		if k := sharedPrefix(prev, active, mEq); k > sharedPrefix(entries, active, mEq) {
+			//lint:ignore hotalloc replay miss: copies the previous call's entries, not their vectors
+			entries = append(entries[:0], prev[:k]...)
+		}
+	}
 	pos := 0
 	// residualOf orthogonalizes row (twice, for numerical robustness)
 	// against the accepted basis prefix; it returns the normalized residual,

@@ -273,3 +273,24 @@ func PaperPortals() *Portals {
 	}
 	return p
 }
+
+// DailyPortals returns the synthetic day of the daily experiment at
+// stepsPerDay steps per day: portal i follows a Diurnal with base
+// TableI()[i]/3, peak boost 1, 4% AR(1) noise and seed seed+i. The Table I
+// levels are the paper's constant demands; a third of them with boost 1
+// keeps the day's peak inside the paper topology's capacity.
+func DailyPortals(stepsPerDay int, seed int64) (*Portals, error) {
+	levels := TableI()
+	gens := make([]Generator, len(levels))
+	for i, level := range levels {
+		g, err := NewDiurnal(DiurnalConfig{
+			Base: level / 3, PeakBoost: 1, NoiseFrac: 0.04,
+			StepsPerDay: stepsPerDay, Seed: seed + int64(i),
+		})
+		if err != nil {
+			return nil, err
+		}
+		gens[i] = g
+	}
+	return NewPortals(gens...)
+}
