@@ -1,10 +1,17 @@
 # Developer workflow for the IDC cost-control reproduction.
 #
-#   make check   — the tier-1 gate plus vet, idclint, and the race detector;
-#                  run this before every push. The race pass matters: sim.Run
-#                  and experiments.RunAll spawn goroutines. The non-race test
-#                  pass matters too: the allocation-regression tests
-#                  (testing.AllocsPerRun) skip themselves under -race.
+#   make check   — the tier-1 gate plus gofmt, vet, idclint, the race
+#                  detector and the bench module; run this before every push.
+#                  The race pass matters: sim.Run and experiments.RunAll spawn
+#                  goroutines. The non-race test pass matters too: the
+#                  allocation-regression tests (testing.AllocsPerRun) skip
+#                  themselves under -race.
+#   make fmt     — fails if gofmt would change any tracked .go file. The lint
+#                  testdata is excluded: it keeps hand-aligned `want:` comments.
+#   make bench-module — vet and test bench/, the closed-loop tick benchmark.
+#                  It is its own Go module, so `go test ./...` here never
+#                  reaches it, but it imports the controller packages and
+#                  names sim.Scenario fields, so a change to them can break it.
 #   make lint    — idclint, the repo's own static-analysis suite
 #                  (kernel aliasing, hot-path allocations, version-bump
 #                  protocol, float ==, nocopy structs, plus the concurrency
@@ -22,12 +29,9 @@
 #                  or if a pinned hot benchmark (MPCStep, warm LP, the
 #                  solver scaling points) regresses in ns/op vs the snapshot
 #                  after normalizing out machine drift via the frozen Expm
-#                  calibration bench, or if a same-run ratio pin misses its
-#                  floor: the structured C50×N20 MPC step must keep its ≥5×
-#                  edge over the ForceDense control, pooled fleet stepping
-#                  its ≥1.8× edge over serial, and a kernel-pool-attached
-#                  solve must cost ≤1.15× the plain one (the parallel
-#                  benches skip below 4 CPUs; skipped pins are not errors).
+#                  calibration bench, or if the same-run ratio pin misses
+#                  its floor: the structured C50×N20 MPC step must keep its
+#                  ≥5× edge over the ForceDense control.
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
@@ -41,9 +45,13 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR12.json
 BENCH_REF ?= BENCH_PR8.json
 
-.PHONY: check vet lint build test race leaktest bench bench-smoke
+.PHONY: check fmt vet lint build test race bench-module leaktest bench bench-smoke
 
-check: vet lint build test race
+check: fmt vet lint build test race bench-module
+
+fmt:
+	@out=$$(git ls-files '*.go' | grep -v /testdata/ | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +67,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 leaktest:
 	$(GO) test -race -run Leak ./internal/... -count=1

@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/idc"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/price"
 	"repro/internal/queueing"
 	"repro/internal/tariff"
@@ -289,124 +287,6 @@ func BenchmarkMPCStepScalingDense(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := rig.mpc.Step(rig.in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// skipUnlessParallel gates the multicore benchmarks: below 4 CPUs the
-// pool cannot demonstrate a speedup (the benchjson ratio pins skip when
-// the records are absent), and CI's -short bench-smoke only verifies
-// checksums, which the worker pool must not affect in the first place.
-func skipUnlessParallel(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("parallel benchmarks skipped in -short mode")
-	}
-	if runtime.NumCPU() < 4 {
-		b.Skipf("parallel benchmarks need >=4 CPUs, have %d", runtime.NumCPU())
-	}
-}
-
-// BenchmarkMPCStepParallel is the no-regression line for the kernel pool:
-// one steady-state planet-scale solve with the pool attached to the mat
-// layer. The warm step's kernels sit below the parallel dispatch
-// thresholds (DESIGN.md §3.12), so this must cost the same as
-// MPCStepScaling/C50xN20 — the benchjson ratio pin holds it to ≤1.15× of
-// the serial line. The throughput win of the pool is measured where it
-// exists, across a fleet (BenchmarkFleetStep).
-func BenchmarkMPCStepParallel(b *testing.B) {
-	rigs := map[string]*mpcScalingRig{}
-	defer releaseScalingRigs(rigs)
-	b.Run(sizeName(50, 20), func(b *testing.B) {
-		skipUnlessParallel(b)
-		pool := par.NewPool(context.Background(), 0)
-		defer pool.Close()
-		mat.SetPool(pool)
-		defer mat.SetPool(nil)
-		rig := mpcScalingRigFor(b, rigs, 50, 20, false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rig.mpc.Step(rig.in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// fleetBenchRig is a warmed multi-tenant fleet at one topology size,
-// cached across b.N escalations for the same reason as mpcScalingRig —
-// each shard owns its model, controller and scratch, so the pooled and
-// serial sub-benchmarks step identical, independent problems.
-type fleetBenchRig struct {
-	ms   []*ctrl.MPC
-	ins  []ctrl.StepInput
-	outs []*ctrl.StepOutput
-	errs []error
-}
-
-func fleetBenchRigFor(b *testing.B, cache map[string]*fleetBenchRig, pool *par.Pool, shards, c, n int) *fleetBenchRig {
-	b.Helper()
-	key := sizeName(c, n)
-	if rig, ok := cache[key]; ok {
-		return rig
-	}
-	rig := &fleetBenchRig{
-		ms:   make([]*ctrl.MPC, shards),
-		ins:  make([]ctrl.StepInput, shards),
-		outs: make([]*ctrl.StepOutput, shards),
-		errs: make([]error, shards),
-	}
-	for i := 0; i < shards; i++ {
-		shard := map[string]*mpcScalingRig{}
-		s := mpcScalingRigFor(b, shard, c, n, false)
-		rig.ms[i], rig.ins[i] = s.mpc, s.in
-	}
-	// Warm through the pooled path so every shard's scratch reaches steady
-	// size under the exact dispatch the pooled sub-benchmark measures.
-	for k := 0; k < 2; k++ {
-		if err := ctrl.StepAll(pool, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cache[key] = rig
-	return rig
-}
-
-// BenchmarkFleetStep measures the fleet-step pool's throughput claim:
-// four independent planet-scale controllers stepped per call, once
-// through the worker pool and once serially on the calling goroutine.
-// The results are bit-identical (TestStepAllMatchesSerial); the pool only
-// buys wall-clock, and the benchjson ratio pin holds pool to ≤55.5% of
-// serial — the ≥1.8× floor the fleet-step substrate is sold on.
-func BenchmarkFleetStep(b *testing.B) {
-	const shards = 4
-	cache := map[string]*fleetBenchRig{}
-	defer func() {
-		for k := range cache {
-			delete(cache, k)
-		}
-		runtime.GC()
-	}()
-	pool := par.NewPool(context.Background(), 0)
-	defer pool.Close()
-	b.Run(sizeName(50, 20)+"/pool", func(b *testing.B) {
-		skipUnlessParallel(b)
-		rig := fleetBenchRigFor(b, cache, pool, shards, 50, 20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ctrl.StepAll(pool, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(sizeName(50, 20)+"/serial", func(b *testing.B) {
-		skipUnlessParallel(b)
-		rig := fleetBenchRigFor(b, cache, pool, shards, 50, 20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ctrl.StepAll(nil, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -182,21 +182,15 @@ const perfCalibration = "Expm"
 // perfRatioPins are same-snapshot ns/op ratio floors: num must be at
 // most maxFrac of den within the *current* run, at the same GOMAXPROCS.
 // Ratios between two lines of one snapshot are machine-independent, so
-// these encode the claims the solver-kernel work is sold on — the
+// they encode the claim the solver-kernel work is sold on: the
 // structured condensed-QP path must beat the ForceDense control at the
-// planet-scale topology by ≥5×, the fleet-step pool must beat serial
-// fleet stepping by ≥1.8×, and attaching the kernel pool to a single
-// solve must cost ≤15% (its kernels dispatch serially below threshold).
-// A pin is skipped when either side is absent (CI's -short bench-smoke
-// skips the expensive dense control, and the parallel benchmarks skip
-// themselves below 4 CPUs).
+// planet-scale topology by ≥5×. A pin is skipped when either side is
+// absent (CI's -short bench-smoke skips the expensive dense control).
 var perfRatioPins = []struct {
 	num, den string
 	maxFrac  float64
 }{
 	{"MPCStepScaling/C50xN20", "MPCStepScalingDense/C50xN20", 0.20},
-	{"FleetStep/C50xN20/pool", "FleetStep/C50xN20/serial", 0.555},
-	{"MPCStepParallel/C50xN20", "MPCStepScaling/C50xN20", 1.15},
 }
 
 // checkPerf compares the pinned benchmarks' ns/op against the reference

@@ -239,17 +239,17 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		sc.Demands = portals.Demands
+		sc.DemandSource = feed.FromFunc(portals.Demands)
 	} else if *diurnal {
 		// The daily experiment's synthetic day, one day long at this -ts.
-		if *ts <= 0 {
+		if !(*ts > 0) || math.IsInf(*ts, 0) {
 			return fmt.Errorf("-diurnal needs a positive -ts, got %g", *ts)
 		}
 		portals, err := workload.DailyPortals(int(math.Round(86400 / *ts)), *seed)
 		if err != nil {
 			return err
 		}
-		sc.Demands = portals.Demands
+		sc.DemandSource = feed.FromFunc(portals.Demands)
 	}
 
 	closeFeed, ferr := applyFeedFlags(&sc, *feedPath, *staleTicks)
@@ -271,7 +271,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 func applyFeedFlags(sc *sim.Scenario, feedPath string, staleTicks int) (func() error, error) {
 	closer := func() error { return nil }
 	if feedPath != "" {
-		if sc.Demands != nil || sc.DemandSource != nil {
+		if sc.DemandSource != nil {
 			return nil, errors.New("-feed conflicts with -diurnal, -workload-trace and config-file demands")
 		}
 		var r io.Reader

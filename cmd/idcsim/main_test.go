@@ -56,6 +56,22 @@ func TestBudgetsFlag(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlagsRejected: a NaN or infinite -ts or budget fails the
+// run instead of printing nonsense hours and NaN costs.
+func TestNonFiniteFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ts", "NaN"},
+		{"-ts", "+Inf"},
+		{"-ts", "NaN", "-diurnal"},
+		{"-budgets", "NaN,0,0"},
+	} {
+		var buf bytes.Buffer
+		if err := run(append([]string{"-steps", "5", "-no-baseline"}, args...), &buf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 func TestDiurnalAndStochastic(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-steps", "3", "-diurnal", "-stochastic-prices", "-no-baseline"}, &buf); err != nil {

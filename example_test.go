@@ -2,7 +2,6 @@ package repro_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"log"
 
@@ -188,39 +187,4 @@ func ExampleRunScenario_feed() {
 	fmt.Printf("streamed steps: %d, mode: %s\n",
 		res.Control.Steps(), res.Control.Modes[res.Control.Steps()-1])
 	// Output: streamed steps: 3, mode: nominal
-}
-
-// ExampleStepAll steps a small fleet of independent controllers — the
-// multi-tenant daemon shape — on a shared worker pool. Results are
-// bit-identical to stepping each tenant serially; the pool only buys
-// throughput.
-func ExampleStepAll() {
-	pool := repro.NewWorkerPool(context.Background(), 0) // GOMAXPROCS workers
-	defer pool.Close()
-
-	const tenants = 3
-	fleet := make([]*repro.Controller, tenants)
-	demands := make([][]float64, tenants)
-	for i := range fleet {
-		c, err := repro.New(repro.Config{
-			Topology:  repro.PaperTopology(),
-			Prices:    repro.NewEmbeddedPrices(),
-			Ts:        30,
-			StartHour: 6,
-			MPC:       repro.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fleet[i] = c
-		demands[i] = repro.TableIDemands()
-	}
-
-	tels := make([]*repro.Telemetry, tenants)
-	errs := make([]error, tenants)
-	if err := repro.StepAll(pool, fleet, demands, tels, errs); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("stepped %d tenants, tenant 0 at hour %d\n", tenants, tels[0].Hour)
-	// Output: stepped 3 tenants, tenant 0 at hour 6
 }

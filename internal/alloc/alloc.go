@@ -118,22 +118,27 @@ func optimizeBudgets(top *idc.Topology, prices, demands, budgets []float64, solv
 		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), c, ErrBadInput)
 	}
 	for i, d := range demands {
-		if d < 0 {
+		if !(d >= 0) || math.IsInf(d, 0) {
 			return nil, fmt.Errorf("demand[%d] = %g: %w", i, d, ErrBadInput)
 		}
 	}
 	if budgets != nil && len(budgets) != n {
 		return nil, fmt.Errorf("%d budgets for %d IDCs: %w", len(budgets), n, ErrBadInput)
 	}
-	if !top.Feasible(demands) {
-		return nil, fmt.Errorf("total demand %g vs capacity %g: %w",
-			sum(demands), sum(top.Capacities()), ErrInfeasible)
-	}
+	// Reject non-finite budgets before counting rows: NaN is neither > 0
+	// nor <= 0, so the count here and the row fill below would disagree.
 	nBudget := 0
-	for _, b := range budgets {
+	for j, b := range budgets {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return nil, fmt.Errorf("budget[%d] = %g: %w", j, b, ErrBadInput)
+		}
 		if b > 0 {
 			nBudget++
 		}
+	}
+	if !top.Feasible(demands) {
+		return nil, fmt.Errorf("total demand %g vs capacity %g: %w",
+			sum(demands), sum(top.Capacities()), ErrInfeasible)
 	}
 
 	// Variables: U (NC entries) then m (N entries).

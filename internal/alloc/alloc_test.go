@@ -37,6 +37,28 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsRejected pins the input boundary: a NaN or infinite
+// demand or budget is ErrBadInput, never ErrInfeasible or a panic (a NaN
+// budget is neither > 0 nor <= 0, which breaks the budget-row count).
+func TestNonFiniteInputsRejected(t *testing.T) {
+	top := idc.PaperTopology()
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]struct{ demands, budgets []float64 }{
+		"NaN demand":  {[]float64{nan, 0, 0, 0, 0}, nil},
+		"+Inf demand": {[]float64{inf, 0, 0, 0, 0}, nil},
+		"NaN budget":  {workload.TableI(), []float64{nan, 0, 0}},
+		"+Inf budget": {workload.TableI(), []float64{0, inf, 0}},
+		"-Inf budget": {workload.TableI(), []float64{0, 0, -inf}},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := OptimizeWithBudgets(top, prices7H(), tc.demands, tc.budgets); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("err = %v, want ErrBadInput", err)
+			}
+		})
+	}
+}
+
 func TestInfeasibleDemand(t *testing.T) {
 	top := idc.PaperTopology()
 	demands := []float64{1e6, 0, 0, 0, 0}

@@ -33,6 +33,7 @@ import (
 	"os"
 
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/forecast"
 	"repro/internal/idc"
 	"repro/internal/power"
@@ -250,10 +251,10 @@ func (f *File) Scenario() (sim.Scenario, error) {
 		if err != nil {
 			return sim.Scenario{}, err
 		}
-		sc.Demands = portals.Demands
+		sc.DemandSource = feed.FromFunc(portals.Demands)
 	} else {
 		demands := append([]float64{}, f.Portals...)
-		sc.Demands = func(int) []float64 { return demands }
+		sc.DemandSource = feed.FromFunc(func(int) []float64 { return demands })
 	}
 	return sc, nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
@@ -46,8 +47,8 @@ func TestParseValid(t *testing.T) {
 	if sc.Topology.IDC(0).DelayBound != 0.001 {
 		t.Fatalf("delay bound = %g", sc.Topology.IDC(0).DelayBound)
 	}
-	if sc.Demands == nil || sc.Demands(0)[0] != 12000 {
-		t.Fatal("constant demands not materialized")
+	if d := peekDemands(t, f, 1); d[0][0] != 12000 {
+		t.Fatalf("constant demand[0] = %g, want 12000", d[0][0])
 	}
 }
 
@@ -127,9 +128,9 @@ func TestBidstackAndDiurnalAndForecast(t *testing.T) {
 	if !sc.UseForecast {
 		t.Fatal("forecast not enabled")
 	}
-	d0 := sc.Demands(0)
-	d100 := sc.Demands(100)
-	if d0[0] == d100[0] {
+	// Peek through a second Scenario: the run below consumes sc's source.
+	d := peekDemands(t, f, 101)
+	if d[0][0] == d[100][0] {
 		t.Fatal("diurnal demands look constant")
 	}
 	res, err := sim.Run(sc)
@@ -139,6 +140,27 @@ func TestBidstackAndDiurnalAndForecast(t *testing.T) {
 	if res.Control.Steps() != 12 {
 		t.Fatalf("steps = %d", res.Control.Steps())
 	}
+}
+
+// peekDemands pulls the first n demand vectors from a fresh Scenario of f.
+func peekDemands(t *testing.T, f *File, n int) [][]float64 {
+	t.Helper()
+	sc, err := f.Scenario()
+	if err != nil {
+		t.Fatalf("Scenario: %v", err)
+	}
+	if sc.DemandSource == nil {
+		t.Fatal("demands not materialized")
+	}
+	out := make([][]float64, n)
+	for k := range out {
+		smp, err := sc.DemandSource.Next(context.Background())
+		if err != nil {
+			t.Fatalf("demand sample %d: %v", k, err)
+		}
+		out[k] = smp.Values
+	}
+	return out
 }
 
 func TestLoadMissingFile(t *testing.T) {

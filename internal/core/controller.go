@@ -191,7 +191,7 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 	if cfg.Ts == 0 {
 		cfg.Ts = 30
 	}
-	if cfg.Ts <= 0 {
+	if !(cfg.Ts > 0) || math.IsInf(cfg.Ts, 0) {
 		return nil, fmt.Errorf("ts %g: %w", cfg.Ts, ErrBadConfig)
 	}
 	if cfg.SlowEvery == 0 {
@@ -213,7 +213,7 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 			return nil, fmt.Errorf("%d budgets for %d IDCs: %w", len(cfg.Budgets), n, ErrBadConfig)
 		}
 		for j, b := range cfg.Budgets {
-			if b < 0 {
+			if !(b >= 0) || math.IsInf(b, 0) {
 				return nil, fmt.Errorf("budget[%d] = %g: %w", j, b, ErrBadConfig)
 			}
 			if b > 0 {
@@ -291,7 +291,7 @@ func (c *Controller) SetBudgets(budgets []float64, immediate bool) error {
 		return fmt.Errorf("%d budgets for %d IDCs: %w", len(budgets), n, ErrBadConfig)
 	}
 	for j, b := range budgets {
-		if b < 0 {
+		if !(b >= 0) || math.IsInf(b, 0) {
 			return fmt.Errorf("budget[%d] = %g: %w", j, b, ErrBadConfig)
 		}
 	}
@@ -341,7 +341,7 @@ func (c *Controller) Step(demands []float64) (*Telemetry, error) {
 		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), top.C(), ErrBadConfig)
 	}
 	for i, d := range demands {
-		if d < 0 {
+		if !(d >= 0) || math.IsInf(d, 0) {
 			return nil, fmt.Errorf("demand[%d] = %g: %w", i, d, ErrBadConfig)
 		}
 	}

@@ -79,6 +79,63 @@ func TestStepValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsRejected pins the controller boundary: a NaN or
+// infinite Ts, budget or demand is ErrBadConfig, the error a negative value
+// gets. A NaN demand is not ErrInfeasible, and a rejected budget never
+// reaches the next slow tick.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	newWith := func(mutate func(*Config)) func(*testing.T) error {
+		return func(*testing.T) error {
+			cfg := baseConfig()
+			mutate(&cfg)
+			_, err := New(cfg)
+			return err
+		}
+	}
+	setBudgets := func(budgets []float64) func(*testing.T) error {
+		return func(t *testing.T) error {
+			c, err := New(baseConfig())
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			err = c.SetBudgets(budgets, false)
+			// The rejected budgets must not reach the next slow tick.
+			if _, serr := c.Step(workload.TableI()); serr != nil {
+				t.Fatalf("Step after rejected budgets: %v", serr)
+			}
+			return err
+		}
+	}
+	step := func(demands []float64) func(*testing.T) error {
+		return func(t *testing.T) error {
+			c, err := New(baseConfig())
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			_, err = c.Step(demands)
+			return err
+		}
+	}
+	cases := map[string]func(*testing.T) error{
+		"NaN Ts":          newWith(func(c *Config) { c.Ts = nan }),
+		"+Inf Ts":         newWith(func(c *Config) { c.Ts = inf }),
+		"NaN budget":      newWith(func(c *Config) { c.Budgets = []float64{nan, 0, 0} }),
+		"+Inf budget":     newWith(func(c *Config) { c.Budgets = []float64{0, inf, 0} }),
+		"SetBudgets NaN":  setBudgets([]float64{nan, 0, 0}),
+		"SetBudgets +Inf": setBudgets([]float64{0, 0, inf}),
+		"NaN demand":      step([]float64{nan, 0, 0, 0, 0}),
+		"+Inf demand":     step([]float64{inf, 0, 0, 0, 0}),
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := run(t); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
 func TestColdStartAdoptsReference(t *testing.T) {
 	cfg := baseConfig()
 	cfg.StartHour = 6

@@ -142,8 +142,8 @@ type instruments struct {
 // wall-time histogram is wrapped in a 1-in-sampleEvery decimator (§3.9).
 func newInstruments(reg *obs.Registry, sampleEvery int) instruments {
 	return instruments{
-		steps:      reg.Counter("idc_steps_total", "fast-loop control steps executed"),
-		slowTicks:  reg.Counter("idc_slow_ticks_total", "slow-loop ticks (price/model/reference refreshes)"),
+		steps:     reg.Counter("idc_steps_total", "fast-loop control steps executed"),
+		slowTicks: reg.Counter("idc_slow_ticks_total", "slow-loop ticks (price/model/reference refreshes)"),
 		fastLoop: obs.Sampled(
 			reg.Histogram("idc_fast_loop_seconds", "wall time of one fast-loop Step (sampled)", obs.LatencyBuckets()),
 			sampleEvery),

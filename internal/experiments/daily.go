@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/idc"
 	"repro/internal/metrics"
 	"repro/internal/price"
@@ -24,15 +25,15 @@ func runDaily() (*Output, error) {
 		return nil, err
 	}
 	res, err := sim.Run(sim.Scenario{
-		Name:      "daily",
-		Topology:  top,
-		Prices:    price.NewEmbeddedModel(),
-		Demands:   portals.Demands,
-		Steps:     288, // 24 h at 5-minute sampling
-		Ts:        300,
-		SlowEvery: 12, // hourly reference re-solve, matching price updates
-		MPC:       ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
-		Metrics:   Metrics(),
+		Name:         "daily",
+		Topology:     top,
+		Prices:       price.NewEmbeddedModel(),
+		DemandSource: feed.FromFunc(portals.Demands),
+		Steps:        288, // 24 h at 5-minute sampling
+		Ts:           300,
+		SlowEvery:    12, // hourly reference re-solve, matching price updates
+		MPC:          ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
+		Metrics:      Metrics(),
 	})
 	if err != nil {
 		return nil, err

@@ -70,9 +70,9 @@ type funcSource struct {
 	step int
 }
 
-// FromFunc adapts the legacy step-indexed callback (Scenario.Demands) to a
-// Source: sample k carries Seq k and fn(k)'s vector, unmodified, so the
-// feed path is bit-identical to calling fn directly. The stream never
+// FromFunc adapts a step-indexed callback to a Source: sample k carries
+// Seq k and fn(k)'s vector, unmodified, so the feed path is bit-identical
+// to calling fn directly. The stream never
 // ends; bound it with the consumer's step count or ctx.
 func FromFunc(fn func(step int) []float64) Source {
 	return &funcSource{fn: fn}

@@ -12,6 +12,7 @@ package idc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 	"repro/internal/power"
@@ -52,7 +53,7 @@ func (d IDC) Validate() error {
 	if d.DelayBound <= 0 {
 		return fmt.Errorf("%s: delay bound %g: %w", d.Name, d.DelayBound, ErrBadTopology)
 	}
-	if d.BudgetWatts < 0 {
+	if !(d.BudgetWatts >= 0) || math.IsInf(d.BudgetWatts, 0) {
 		return fmt.Errorf("%s: budget %g: %w", d.Name, d.BudgetWatts, ErrBadTopology)
 	}
 	return nil

@@ -23,10 +23,12 @@ func TestIDCValidate(t *testing.T) {
 		t.Fatalf("valid IDC rejected: %v", err)
 	}
 	cases := map[string]func(*IDC){
-		"servers": func(d *IDC) { d.TotalServers = 0 },
-		"rate":    func(d *IDC) { d.ServiceRate = 0 },
-		"delay":   func(d *IDC) { d.DelayBound = 0 },
-		"budget":  func(d *IDC) { d.BudgetWatts = -1 },
+		"servers":     func(d *IDC) { d.TotalServers = 0 },
+		"rate":        func(d *IDC) { d.ServiceRate = 0 },
+		"delay":       func(d *IDC) { d.DelayBound = 0 },
+		"budget":      func(d *IDC) { d.BudgetWatts = -1 },
+		"NaN budget":  func(d *IDC) { d.BudgetWatts = math.NaN() },
+		"+Inf budget": func(d *IDC) { d.BudgetWatts = math.Inf(1) },
 	}
 	for name, mutate := range cases {
 		d := validIDC()

@@ -33,8 +33,8 @@ func runAtomicmix(prog *Program) []Diagnostic {
 	// Pass 1 (whole program): collect every field that appears as &s.f in a
 	// sync/atomic call argument, and remember those exact selector nodes so
 	// pass 2 doesn't count the atomic accesses themselves as plain ones.
-	atomicFields := make(map[string]bool)   // "pkg/path.Type.field"
-	sanctioned := make(map[ast.Node]bool)   // selector nodes inside atomic call args
+	atomicFields := make(map[string]bool) // "pkg/path.Type.field"
+	sanctioned := make(map[ast.Node]bool) // selector nodes inside atomic call args
 	fieldKeyOf := func(info *types.Info, sel *ast.SelectorExpr) string {
 		selection, ok := info.Selections[sel]
 		if !ok || selection.Kind() != types.FieldVal {

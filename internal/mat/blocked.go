@@ -74,22 +74,8 @@ var panelPool = sync.Pool{
 // j/k tiling with a packed B panel. Loop order guarantees each dst element
 // accumulates its a[i][k]*b[k][j] products in ascending k — the naive
 // MulInto order — so the result is bit-identical to the naive loop.
-//
-// When a kernel pool is registered and the product is large enough
-// (parMulMinFlops), the j-tile loop fans out over the pool: each worker
-// owns disjoint dst column tiles with a private packed panel, so the
-// per-element order — and therefore the result — is unchanged.
 func blockedMulInto(dst, a, b *Dense) {
-	ar, ac, bc := a.rows, a.cols, b.cols
-	nTiles := (bc + mulTileJ - 1) / mulTileJ
-	if p := activePool(); p != nil && nTiles >= 2 && ar*ac*bc >= parMulMinFlops {
-		t := mulTaskPool.Get().(*mulTask)
-		t.dst, t.a, t.b = dst, a, b
-		p.Run(nTiles, t)
-		t.dst, t.a, t.b = nil, nil, nil
-		mulTaskPool.Put(t)
-		return
-	}
+	nTiles := (b.cols + mulTileJ - 1) / mulTileJ
 	pp := panelPool.Get().(*[]float64)
 	mulTileRange(dst, a, b, 0, nTiles, *pp)
 	panelPool.Put(pp)
@@ -97,8 +83,7 @@ func blockedMulInto(dst, a, b *Dense) {
 
 // mulTileRange runs the blocked matmul body over j-tiles [t0, t1), where
 // tile t covers dst columns [t·mulTileJ, (t+1)·mulTileJ) clamped to b's
-// width. It is the shared core of the serial and pooled paths; panel must
-// hold mulTileK·mulTileJ doubles.
+// width; panel must hold mulTileK·mulTileJ doubles.
 func mulTileRange(dst, a, b *Dense, t0, t1 int, panel []float64) {
 	ar, ac, bc := a.rows, a.cols, b.cols
 	for tile := t0; tile < t1; tile++ {
@@ -159,20 +144,9 @@ func (c *Cholesky) factorBlocked(a, l *Dense, n int) error {
 		}
 		// Deferred trailing update from all prior columns, row-outer with
 		// k-tiles ascending inside each row, so each element still subtracts
-		// its products in the unblocked order. Rows are independent here —
-		// row i reads only columns < p0 (finalized by earlier panels) and
-		// writes only columns [p0, p1) of itself — so the row loop fans out
-		// over the kernel pool when the trailing block is tall enough.
-		if rows := n - p0; p0 > 0 {
-			if p := activePool(); p != nil && rows >= parFactorMinRows {
-				t := cholTaskPool.Get().(*cholTask)
-				t.ld, t.n, t.p0, t.p1 = ld, n, p0, p1
-				p.Run(rows, t)
-				t.ld = nil
-				cholTaskPool.Put(t)
-			} else {
-				cholUpdateRows(ld, n, p0, p1, p0, n)
-			}
+		// its products in the unblocked order.
+		if p0 > 0 {
+			cholUpdateRows(ld, n, p0, p1, p0, n)
 		}
 		// Factor the panel with the unblocked loop, k restricted to the
 		// panel (earlier k's were subtracted above).
@@ -202,8 +176,8 @@ func (c *Cholesky) factorBlocked(a, l *Dense, n int) error {
 // cholUpdateRows applies the deferred trailing update to rows [i0, i1) of
 // the current panel [p0, p1): for each row, k-tiles of prior columns
 // ascend so every element's subtraction chain matches the unblocked loop.
-// Safe to run concurrently for disjoint row ranges — reads touch only
-// columns < p0, writes only the row's own [p0, p1) region.
+// Row i reads only columns < p0, finalized by earlier panels, and writes
+// only its own [p0, p1) region.
 func cholUpdateRows(ld []float64, n, p0, p1, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		jmax := p1
@@ -243,29 +217,14 @@ func (f *LU) factorBlocked(lu *Dense, piv []int, n int) error {
 		}
 		// Deferred update of panel columns from all prior pivots, k-tiled
 		// ascending; the per-(i,k) skip-zero test mirrors the unblocked loop.
-		// Each k-tile splits into a triangular phase — rows (k0, k1), where
-		// row i reads rows [k0, i) updated moments earlier in this same
-		// pass, so order matters and it stays serial — and a rectangular
-		// phase — rows [k1, n), which read only pivot rows [k0, k1) that the
-		// triangular phase just finalized, so they are independent and fan
-		// out over the kernel pool when tall enough.
+		// Row i reads rows [k0, min(i, k1)), which this same pass updated
+		// first, so rows go in ascending order.
 		for k0 := 0; k0 < p0; k0 += factorTileK {
 			k1 := k0 + factorTileK
 			if k1 > p0 {
 				k1 = p0
 			}
-			luUpdateRows(ld, n, k0, k1, p0, p1, k0+1, k1)
-			if rows := n - k1; rows > 0 {
-				if p := activePool(); p != nil && rows >= parFactorMinRows {
-					t := luTaskPool.Get().(*luTask)
-					t.ld, t.n, t.k0, t.k1, t.p0, t.p1 = ld, n, k0, k1, p0, p1
-					p.Run(rows, t)
-					t.ld = nil
-					luTaskPool.Put(t)
-				} else {
-					luUpdateRows(ld, n, k0, k1, p0, p1, k1, n)
-				}
-			}
+			luUpdateRows(ld, n, k0, k1, p0, p1, k0+1, n)
 		}
 		// Right-looking factorization within the panel; row swaps span the
 		// full matrix exactly as in the unblocked loop.
@@ -308,9 +267,7 @@ func (f *LU) factorBlocked(lu *Dense, piv []int, n int) error {
 // luUpdateRows applies one k-tile [k0, k1) of the deferred LU update to
 // rows [i0, i1) of the panel columns [p0, p1). Per row, kmax clamps the
 // tile to the strictly-lower multipliers exactly as the unblocked loop
-// does. Rows i ≥ k1 are mutually independent (they read only rows
-// [k0, k1) and write themselves) and may run concurrently; rows inside
-// (k0, k1) must be processed serially in ascending order.
+// does.
 func luUpdateRows(ld []float64, n, k0, k1, p0, p1, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		kmax := k1

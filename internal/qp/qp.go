@@ -122,16 +122,11 @@ const (
 // build a fresh one instead. A nil *Workspace is accepted everywhere and
 // means "no cross-solve reuse". Not safe for concurrent use.
 //
-// Sharing rule under fleet stepping (ctrl.StepAll / core.StepAll): a
-// Workspace belongs to exactly one controller, and nothing here is
-// synchronized — fleet parallelism is safe because each shard steps a
-// distinct controller and therefore touches a distinct Workspace. Do not
-// share one Workspace across controllers to "save memory": concurrent
-// SolveWith calls race on every cache above, and even serialized sharing
-// is wrong the moment the two controllers' H/Aeq/Ain differ. The blocked
-// matrix kernels a solve calls into may themselves fan out over the
-// process-wide kernel pool (mat.SetPool); that nesting is safe — the pool
-// runs contended dispatches inline — and changes no results.
+// Sharing rule: a Workspace belongs to exactly one controller, and nothing
+// here is synchronized. Do not share one Workspace across controllers to
+// "save memory": concurrent SolveWith calls race on every cache above, and
+// even serialized sharing is wrong the moment the two controllers'
+// H/Aeq/Ain differ.
 //
 // Result ownership: SolveWith with a non-nil ws returns a Result whose X and
 // Active slices live in the workspace and are overwritten by the next solve

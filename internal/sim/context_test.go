@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/feed"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -20,12 +21,12 @@ func TestRunContextCancelReturnsPartialResult(t *testing.T) {
 	// Cancel from inside the demand callback: the step being fed still
 	// completes, the next iteration's ctx check stops the loop.
 	table := workload.TableI()
-	sc.Demands = func(step int) []float64 {
+	sc.DemandSource = feed.FromFunc(func(step int) []float64 {
 		if step == 9 {
 			cancel()
 		}
 		return table
-	}
+	})
 	res, err := RunContext(ctx, sc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

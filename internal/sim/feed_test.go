@@ -34,10 +34,10 @@ func wavyDemands(steps int) (func(step int) []float64, [][]float64) {
 	return at, rows
 }
 
-// TestFeedPathBitIdentical pins the API-redesign contract: the deprecated
-// Demands callback, a DemandSource trace, and the same trace pushed through
-// a Buffer all produce bit-identical series — adapters and the ring never
-// transform values.
+// TestFeedPathBitIdentical pins the feed contract: a step-indexed callback
+// (FromFunc), the same series as a trace (FromTrace), and that trace pushed
+// through a Buffer all produce bit-identical series — adapters and the
+// ring never transform values.
 func TestFeedPathBitIdentical(t *testing.T) {
 	const steps = 24
 	demandAt, rows := wavyDemands(steps)
@@ -46,11 +46,11 @@ func TestFeedPathBitIdentical(t *testing.T) {
 	base.Steps = steps
 	base.SlowEvery = 2
 
-	legacy := base
-	legacy.Demands = demandAt
-	want, err := Run(legacy)
+	fromFunc := base
+	fromFunc.DemandSource = feed.FromFunc(demandAt)
+	want, err := Run(fromFunc)
 	if err != nil {
-		t.Fatalf("legacy run: %v", err)
+		t.Fatalf("FromFunc run: %v", err)
 	}
 
 	traced := base
@@ -60,10 +60,10 @@ func TestFeedPathBitIdentical(t *testing.T) {
 		t.Fatalf("trace run: %v", err)
 	}
 	if !reflect.DeepEqual(want.Control, got.Control) {
-		t.Fatal("FromTrace series differ from the legacy Demands series")
+		t.Fatal("FromTrace series differ from the FromFunc series")
 	}
 	if !reflect.DeepEqual(want.Optimal, got.Optimal) {
-		t.Fatal("FromTrace baseline differs from the legacy baseline")
+		t.Fatal("FromTrace baseline differs from the FromFunc baseline")
 	}
 
 	buffered := base
@@ -76,7 +76,7 @@ func TestFeedPathBitIdentical(t *testing.T) {
 		t.Fatalf("buffered run: %v", err)
 	}
 	if !reflect.DeepEqual(want.Control, got.Control) {
-		t.Fatal("buffered series differ from the legacy Demands series")
+		t.Fatal("buffered series differ from the FromFunc series")
 	}
 }
 
@@ -92,15 +92,6 @@ func TestFeedEndsEarlyIsCleanPartialRun(t *testing.T) {
 	}
 	if res.Control.Steps() != 5 {
 		t.Fatalf("recorded %d steps, want the stream's 5", res.Control.Steps())
-	}
-}
-
-func TestBothDemandPathsRejected(t *testing.T) {
-	sc := paperScenario()
-	sc.Demands = func(int) []float64 { return workload.TableI() }
-	sc.DemandSource = feed.FromTrace(nil)
-	if _, err := Run(sc); !errors.Is(err, ErrBadScenario) {
-		t.Fatalf("err = %v, want ErrBadScenario", err)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-// FuzzFeedReplay pins the redesign's central equivalence: any demand trace
-// replayed through the feed path (Scenario.DemandSource) produces exactly —
-// bit for bit — the result of the deprecated Demands callback, including
-// error outcomes for infeasible or malformed traces. The fuzzer owns the
-// trace shape; both paths must agree on everything.
+// FuzzFeedReplay pins the feed path's central equivalence: any demand trace
+// replayed through FromTrace produces exactly — bit for bit — the result of
+// the same rows behind a FromFunc callback, including error outcomes for
+// infeasible or malformed traces. The fuzzer owns the trace shape; both
+// sources must agree on everything.
 func FuzzFeedReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{128, 128, 128, 128, 128, 64, 200, 0, 255, 32})
@@ -43,28 +43,28 @@ func FuzzFeedReplay(f *testing.F) {
 		sc.SlowEvery = 2
 		sc.SkipBaseline = true
 
-		legacy := sc
-		legacy.Demands = func(k int) []float64 { return rows[k] }
-		wantRes, wantErr := Run(legacy)
+		funcSc := sc
+		funcSc.DemandSource = feed.FromFunc(func(k int) []float64 { return rows[k] })
+		wantRes, wantErr := Run(funcSc)
 
-		feedSc := sc
-		feedSc.DemandSource = feed.FromTrace(rows)
-		gotRes, gotErr := Run(feedSc)
+		traceSc := sc
+		traceSc.DemandSource = feed.FromTrace(rows)
+		gotRes, gotErr := Run(traceSc)
 
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error divergence: legacy %v, feed %v", wantErr, gotErr)
+			t.Fatalf("error divergence: FromFunc %v, FromTrace %v", wantErr, gotErr)
 		}
 		if wantErr != nil {
 			// Same failure class; the messages differ only in the path label.
 			for _, sentinel := range []error{ErrBadScenario} {
 				if errors.Is(wantErr, sentinel) != errors.Is(gotErr, sentinel) {
-					t.Fatalf("error class divergence: legacy %v, feed %v", wantErr, gotErr)
+					t.Fatalf("error class divergence: FromFunc %v, FromTrace %v", wantErr, gotErr)
 				}
 			}
 			return
 		}
 		if !reflect.DeepEqual(wantRes.Control, gotRes.Control) {
-			t.Fatal("feed-path series diverge from the legacy path")
+			t.Fatal("FromTrace series diverge from the FromFunc series")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/feed"
 	"repro/internal/leaktest"
 	"repro/internal/workload"
 )
@@ -17,12 +18,12 @@ func TestRunContextPanicDoesNotLeakBaseline(t *testing.T) {
 		sc := paperScenario()
 		sc.Steps = 20
 		table := workload.TableI()
-		sc.Demands = func(step int) []float64 {
+		sc.DemandSource = feed.FromFunc(func(step int) []float64 {
 			if step == 5 {
 				panic("demand source failed")
 			}
 			return table
-		}
+		})
 		panicked := false
 		func() {
 			defer func() {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -35,20 +36,15 @@ type Scenario struct {
 	// Prices is the shared price model (required unless PriceSource is
 	// set, which supersedes it).
 	Prices price.Model
-	// DemandSource streams the portal demand vector per step — the
-	// preferred input path (DESIGN.md §3.13). Each pulled sample must
-	// carry one rate per portal; the run ends early (cleanly, with the
-	// partial series and a nil error) when the source returns feed.ErrEnd
-	// before Steps samples. Mutually exclusive with Demands.
+	// DemandSource streams the portal demand vector per step
+	// (DESIGN.md §3.13); nil uses the paper's constant Table I demands.
+	// Each pulled sample must carry one rate per portal; the run ends
+	// early (cleanly, with the partial series and a nil error) when the
+	// source returns feed.ErrEnd before Steps samples. A run consumes its
+	// source, so a Scenario whose DemandSource is set runs once; build a
+	// fresh source, e.g. feed.FromFunc of a step-indexed callback, for
+	// each run.
 	DemandSource feed.Source
-	// Demands supplies the portal demand vector per step; nil (with a nil
-	// DemandSource) uses the paper's constant Table I demands.
-	//
-	// Deprecated: set DemandSource instead. This field keeps working — it
-	// is wrapped in the feed.FromFunc adapter, and the two paths produce
-	// bit-identical series (pinned by TestFeedPathBitIdentical and
-	// FuzzFeedReplay).
-	Demands func(step int) []float64
 	// PriceSource, when non-nil, streams hourly price vectors and
 	// supersedes Prices: each sample's Seq is the price-trace hour and
 	// Values holds one price per distinct topology region in IDC order
@@ -199,9 +195,6 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if prices == nil {
 		return nil, fmt.Errorf("nil price model: %w", ErrBadScenario)
 	}
-	if sc.DemandSource != nil && sc.Demands != nil {
-		return nil, fmt.Errorf("both DemandSource and Demands set: %w", ErrBadScenario)
-	}
 	if sc.Steps <= 0 {
 		return nil, fmt.Errorf("steps %d: %w", sc.Steps, ErrBadScenario)
 	}
@@ -209,25 +202,17 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if sc.Ts == 0 {
 		sc.Ts = 30
 	}
-	if sc.Ts <= 0 {
+	if !(sc.Ts > 0) || math.IsInf(sc.Ts, 0) {
 		return nil, fmt.Errorf("ts %g: %w", sc.Ts, ErrBadScenario)
 	}
-	// Every demand path funnels through one pull-based source: an explicit
-	// DemandSource as-is, the legacy Demands callback (and the Table I
-	// default) via the FromFunc adapter — adapters hand vectors through
-	// untouched, so the legacy path's series stay bit-identical.
 	demandSrc := sc.DemandSource
 	if demandSrc == nil {
-		demandAt := sc.Demands
-		if demandAt == nil {
-			table := workload.TableI()
-			if sc.Topology.C() != len(table) {
-				return nil, fmt.Errorf("default demands need %d portals, topology has %d: %w",
-					len(table), sc.Topology.C(), ErrBadScenario)
-			}
-			demandAt = func(int) []float64 { return table }
+		table := workload.TableI()
+		if sc.Topology.C() != len(table) {
+			return nil, fmt.Errorf("default demands need %d portals, topology has %d: %w",
+				len(table), sc.Topology.C(), ErrBadScenario)
 		}
-		demandSrc = feed.FromFunc(demandAt)
+		demandSrc = feed.FromFunc(func(int) []float64 { return table })
 	}
 
 	var opts []core.Option

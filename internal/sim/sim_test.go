@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/idc"
 	"repro/internal/metrics"
 	"repro/internal/price"
@@ -46,6 +47,25 @@ func TestRunValidation(t *testing.T) {
 	sc.Ts = -5
 	if _, err := Run(sc); !errors.Is(err, ErrBadScenario) {
 		t.Fatalf("negative ts: %v", err)
+	}
+}
+
+// TestRunRejectsNonFiniteTs: a NaN or infinite Ts is ErrBadScenario, like a
+// negative one, instead of a run stamped with nonsense hours and NaN costs.
+func TestRunRejectsNonFiniteTs(t *testing.T) {
+	for name, ts := range map[string]float64{
+		"NaN":  math.NaN(),
+		"+Inf": math.Inf(1),
+		"-Inf": math.Inf(-1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := paperScenario()
+			sc.Steps = 5
+			sc.Ts = ts
+			if _, err := Run(sc); !errors.Is(err, ErrBadScenario) {
+				t.Fatalf("err = %v, want ErrBadScenario", err)
+			}
+		})
 	}
 }
 
@@ -155,10 +175,10 @@ func TestDemandGeneratorScenario(t *testing.T) {
 	}
 	sc := paperScenario()
 	sc.Steps = 12
-	sc.Demands = func(step int) []float64 {
+	sc.DemandSource = feed.FromFunc(func(step int) []float64 {
 		d := gen.Rate(step)
 		return []float64{d, d / 2, d / 2, d, d}
-	}
+	})
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -215,12 +235,12 @@ func TestEnduranceFullDay(t *testing.T) {
 		Prices: price.NewBidStackModel(price.NewEmbeddedModel(), price.BidStackConfig{
 			Sensitivity: 0.5, Sigma: 1.5, Seed: 77,
 		}),
-		Demands:     portals.Demands,
-		Steps:       288, // 24 h at 5-minute steps
-		Ts:          300,
-		SlowEvery:   12,
-		MPC:         ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
-		UseForecast: true,
+		DemandSource: feed.FromFunc(portals.Demands),
+		Steps:        288, // 24 h at 5-minute steps
+		Ts:           300,
+		SlowEvery:    12,
+		MPC:          ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
+		UseForecast:  true,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -266,15 +286,15 @@ func TestScaleBeyondPaper(t *testing.T) {
 		demands[i] = 9000 // total 72000 vs ~120000 capacity
 	}
 	res, err := Run(Scenario{
-		Name:      "scale",
-		Topology:  top,
-		Prices:    price.NewEmbeddedModel(),
-		Demands:   func(int) []float64 { return demands },
-		Steps:     10,
-		Ts:        30,
-		StartHour: 6,
-		SlowEvery: 4,
-		MPC:       ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 4, PredHorizon: 6, CtrlHorizon: 3},
+		Name:         "scale",
+		Topology:     top,
+		Prices:       price.NewEmbeddedModel(),
+		DemandSource: feed.FromFunc(func(int) []float64 { return demands }),
+		Steps:        10,
+		Ts:           30,
+		StartHour:    6,
+		SlowEvery:    4,
+		MPC:          ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 4, PredHorizon: 6, CtrlHorizon: 3},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -58,9 +58,7 @@ import (
 	"repro/internal/feed"
 	"repro/internal/forecast"
 	"repro/internal/idc"
-	"repro/internal/mat"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/price"
 	"repro/internal/sim"
 	"repro/internal/sleep"
@@ -341,44 +339,6 @@ func NewReferenceSolver() *ReferenceSolver { return alloc.NewSolver() }
 func BaselineAllocation(top *Topology, prices, demands []float64) (*AllocResult, error) {
 	return alloc.PriceOrdered(top, prices, demands)
 }
-
-// WorkerPool is a bounded, allocation-free worker pool: a fixed set of
-// goroutines (GOMAXPROCS by default) that the parallel numeric kernels and
-// StepAll dispatch onto. Construct with NewWorkerPool; the pool shuts down
-// when its context is cancelled or Close is called, and a stopped (or nil)
-// pool degrades every consumer to the bit-identical serial path. See
-// DESIGN.md §3.12 for the determinism contract.
-type WorkerPool = par.Pool
-
-// NewWorkerPool starts a pool of the given width; workers <= 0 means
-// GOMAXPROCS. The caller owns shutdown via ctx cancellation or Close.
-func NewWorkerPool(ctx context.Context, workers int) *WorkerPool {
-	return par.NewPool(ctx, workers)
-}
-
-// StepAll advances a fleet of controllers one fast-loop period each,
-// fanned out over p (serially when p is nil), writing tels[i] and errs[i]
-// per tenant. All slices must share a length and the controllers must be
-// pairwise distinct — a Controller is single-threaded; the fleet, not the
-// tenant, is the unit of parallelism. Every controller steps even when
-// some fail; the returned error is the lowest-index failure, deterministic
-// regardless of scheduling. See core.StepAll.
-func StepAll(p *WorkerPool, cs []*Controller, demands [][]float64, tels []*Telemetry, errs []error) error {
-	return core.StepAll(p, cs, demands, tels, errs)
-}
-
-// SetKernelPool registers a process-wide pool that the blocked matrix
-// kernels (matmul, Cholesky, LU) may fan tile loops onto when a problem is
-// large enough to amortize the dispatch. Results are bit-identical with or
-// without a pool — parallelism only splits work across disjoint output
-// regions (DESIGN.md §3.12). Pass nil to return to serial kernels.
-func SetKernelPool(p *WorkerPool) { mat.SetPool(p) }
-
-// SetForceSerialKernels pins the kernels to their serial paths even while
-// a pool is registered — the kernel-level analogue of MPCConfig.ForceDense
-// for operators isolating a suspected scheduling issue. Results cannot
-// differ; only the concurrency is removed.
-func SetForceSerialKernels(v bool) { mat.SetForceSerial(v) }
 
 // Experiments returns every paper table/figure regenerator.
 func Experiments() []Experiment { return experiments.All() }
