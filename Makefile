@@ -23,15 +23,18 @@
 #                  harness) under the race detector; the runtime backstop
 #                  for what the goleak analyzer can only check statically.
 #   make bench   — the paper-artifact benchmarks with series checksums,
-#                  recorded to $(BENCH_JSON); the run fails if any series
-#                  checksum drifts from the $(BENCH_REF) snapshot (results
+#                  run three times (-count 3) and recorded to $(BENCH_JSON)
+#                  as the median of the repeats, with each metric's spread;
+#                  the run fails if any series checksum differs between the
+#                  repeats or drifts from the $(BENCH_REF) snapshot (results
 #                  must be bit-identical across PRs; only timings may move)
 #                  or if a pinned hot benchmark (MPCStep, warm LP, the
 #                  solver scaling points) regresses in ns/op vs the snapshot
 #                  after normalizing out machine drift via the frozen Expm
-#                  calibration bench, or if the same-run ratio pin misses
-#                  its floor: the structured C50×N20 MPC step must keep its
-#                  ≥5× edge over the ForceDense control.
+#                  calibration bench (its median over the repeats), or if
+#                  the same-run ratio pin misses its floor: the structured
+#                  C50×N20 MPC step must keep its ≥5× edge over the
+#                  ForceDense control.
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
@@ -42,8 +45,8 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR12.json
-BENCH_REF ?= BENCH_PR8.json
+BENCH_JSON ?= BENCH_PR14.json
+BENCH_REF ?= BENCH_PR14.json
 
 .PHONY: check fmt vet lint build test race bench-module leaktest bench bench-smoke
 
@@ -75,7 +78,7 @@ leaktest:
 	$(GO) test -race -run Leak ./internal/... -count=1
 
 bench:
-	$(GO) test -run XXX -bench . -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)
+	$(GO) test -run XXX -bench . -benchmem -count 3 . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)
 
 bench-smoke:
 	$(GO) test -short -run XXX -bench . -benchtime 1x -benchmem . | $(GO) run ./cmd/benchjson -out /tmp/bench-smoke.json -check-series $(BENCH_REF)

@@ -9,16 +9,19 @@
 // becomes one record keyed by (name, procs): the "-P" GOMAXPROCS suffix is
 // parsed into the record's procs field (1 when absent, as `go test` only
 // appends it when GOMAXPROCS ≠ 1), so the same benchmark captured at
-// different GOMAXPROCS values — the parallel-kernel matrix — yields
-// distinct, comparable records instead of colliding. Value/unit pairs —
-// including custom b.ReportMetric units such as the figure checksums —
-// land in the metrics map verbatim. benchjson exits nonzero when the
-// stream contains a test failure, so `make bench` fails loudly instead of
-// writing a partial file.
+// different GOMAXPROCS values yields distinct, comparable records instead
+// of colliding. Value/unit pairs — including custom b.ReportMetric units
+// such as the figure checksums — land in the metrics map verbatim.
+// Repeated lines of one key (`go test -count N`) fold into one record:
+// each metric is the median of its repeats, and the record carries the
+// repeat count and each metric's relative spread. benchjson exits nonzero
+// when the stream contains a test failure, so `make bench` fails loudly
+// instead of writing a partial file.
 //
 // Two regression gates compare the parsed run against a previous summary:
 // -check-series fails on any bit drift of the deterministic series-sum /
-// MW-sum checksums (machine-independent; wired into CI), and -check-perf
+// MW-sum checksums, between the repeats of one run or against the
+// reference (machine-independent; wired into CI), and -check-perf
 // fails when a pinned hot benchmark (MPCStep, the warm reference LP, the
 // solver scaling points) regresses in ns/op beyond tolerance — after
 // normalizing out machine drift via the frozen Expm calibration benchmark
@@ -33,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -49,6 +53,14 @@ type Benchmark struct {
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// Runs is the number of repeats folded into this record; Iterations
+	// and every metric are then the median over them. Omitted for a
+	// single run.
+	Runs int `json:"runs,omitempty"`
+	// Spread holds each metric's (max−min)/|median| over the repeats; a
+	// metric whose median is zero but whose repeats differ has none.
+	// Omitted for a single run.
+	Spread map[string]float64 `json:"spread,omitempty"`
 }
 
 // label renders a record's display name in the `go test` convention:
@@ -80,7 +92,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	outPath := fs.String("out", "", "write the JSON summary to this file (required)")
 	checkPath := fs.String("check-series", "", "compare series-sum/MW-sum checksums against this reference summary and fail on any drift")
-	perfPath := fs.String("check-perf", "", "compare the pinned hot benchmarks' ns/op against this reference summary and fail on a >10% regression")
+	perfPath := fs.String("check-perf", "", "compare the pinned hot benchmarks' ns/op against this reference summary and fail on a regression beyond the calibrated tolerance")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,6 +101,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	var sum Summary
+	var lines []Benchmark
 	failed := false
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -108,14 +121,19 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			failed = true
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
-				sum.Benchmarks = append(sum.Benchmarks, b)
+				lines = append(lines, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
+	sum.Benchmarks = foldRepeats(lines)
 
+	// Read the references before -out is written: a snapshot may be its
+	// own reference, and the gates compare against what it held before.
+	seriesRef, seriesErr := readRef("check-series", *checkPath)
+	perfRef, perfErr := readRef("check-perf", *perfPath)
 	data, err := json.MarshalIndent(&sum, "", "  ")
 	if err != nil {
 		return err
@@ -131,14 +149,40 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 	if *checkPath != "" {
-		if err := checkSeries(&sum, *checkPath); err != nil {
+		if seriesErr != nil {
+			return seriesErr
+		}
+		if err := checkRepeats(lines); err != nil {
+			return err
+		}
+		if err := checkSeries(&sum, seriesRef, *checkPath); err != nil {
 			return err
 		}
 	}
 	if *perfPath != "" {
-		return checkPerf(&sum, *perfPath, out)
+		if perfErr != nil {
+			return perfErr
+		}
+		return checkPerf(&sum, perfRef, *perfPath, out)
 	}
 	return nil
+}
+
+// readRef loads the reference summary a gate flag names; an empty path
+// reads nothing.
+func readRef(gate, path string) (*Summary, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", gate, err)
+	}
+	var ref Summary
+	if err := json.Unmarshal(data, &ref); err != nil {
+		return nil, fmt.Errorf("%s %s: %w", gate, path, err)
+	}
+	return &ref, nil
 }
 
 // perfPinned names the hot benchmarks whose ns/op is pinned against the
@@ -194,20 +238,12 @@ var perfRatioPins = []struct {
 }
 
 // checkPerf compares the pinned benchmarks' ns/op against the reference
-// summary at path and fails when any regressed beyond perfTolerance
-// after drift calibration, or when a same-snapshot ratio pin misses its
-// floor. A pinned benchmark missing from the current run is an error
-// (the gate must not pass vacuously); one missing from the reference is
-// skipped (first snapshot that includes it).
-func checkPerf(sum *Summary, path string, out io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("check-perf: %w", err)
-	}
-	var ref Summary
-	if err := json.Unmarshal(data, &ref); err != nil {
-		return fmt.Errorf("check-perf %s: %w", path, err)
-	}
+// summary ref, read from path, and fails when any regressed beyond
+// perfTolerance after drift calibration, or when a same-snapshot ratio pin
+// misses its floor. A pinned benchmark missing from the current run is an
+// error (the gate must not pass vacuously); one missing from the reference
+// is skipped (first snapshot that includes it).
+func checkPerf(sum, ref *Summary, path string, out io.Writer) error {
 	nsPerOp := func(b *Benchmark) (float64, bool) {
 		if b == nil {
 			return 0, false
@@ -217,7 +253,7 @@ func checkPerf(sum *Summary, path string, out io.Writer) error {
 	}
 	drift := 1.0
 	if cal := firstNamed(sum, perfCalibration); cal != nil {
-		if refCal, ok := matchRef(&ref, perfCalibration, cal.Procs); ok {
+		if refCal, ok := matchRef(ref, perfCalibration, cal.Procs); ok {
 			cur, okC := nsPerOp(cal)
 			prev, okR := nsPerOp(refCal)
 			if okC && okR && prev > 0 && cur > 0 {
@@ -241,7 +277,7 @@ func checkPerf(sum *Summary, path string, out io.Writer) error {
 			if !ok {
 				return fmt.Errorf("check-perf: pinned benchmark %s has no ns/op", cur.label())
 			}
-			refB, ok := matchRef(&ref, name, cur.Procs)
+			refB, ok := matchRef(ref, name, cur.Procs)
 			if !ok {
 				continue
 			}
@@ -342,17 +378,10 @@ func checksumUnit(unit string) bool {
 }
 
 // checkSeries compares every checksum metric present in both sum and the
-// reference summary at path, bit-exactly. Timing metrics (ns/op, B/op …)
-// are machine-dependent and ignored; checksums must not move at all.
-func checkSeries(sum *Summary, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("check-series: %w", err)
-	}
-	var ref Summary
-	if err := json.Unmarshal(data, &ref); err != nil {
-		return fmt.Errorf("check-series %s: %w", path, err)
-	}
+// reference summary ref, read from path, bit-exactly. Timing metrics
+// (ns/op, B/op …) are machine-dependent and ignored; checksums must not
+// move at all.
+func checkSeries(sum, ref *Summary, path string) error {
 	// Exact (name, procs, unit) matches win; when the reference has no
 	// record at the current record's procs — a legacy procs-less snapshot,
 	// or a snapshot taken at a different GOMAXPROCS — any record of the
@@ -401,6 +430,113 @@ func checkSeries(sum *Summary, path string) error {
 	}
 	if compared == 0 {
 		return fmt.Errorf("check-series: no common checksum metrics with %s", path)
+	}
+	return nil
+}
+
+// foldRepeats merges the records that share a (name, procs) key — the
+// repeats `go test -count N` prints — into one record per key, in the
+// order the keys first appear. A key seen once passes through unchanged.
+func foldRepeats(lines []Benchmark) []Benchmark {
+	type key struct {
+		name  string
+		procs int
+	}
+	groups := make(map[key][]Benchmark)
+	var order []key
+	for _, b := range lines {
+		k := key{b.Name, b.Procs}
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		reps := groups[k]
+		if len(reps) == 1 {
+			out = append(out, reps[0])
+			continue
+		}
+		iters := make([]float64, len(reps))
+		values := make(map[string][]float64)
+		var units []string
+		for i, b := range reps {
+			iters[i] = float64(b.Iterations)
+			//lint:ignore maporder units is sorted below; each unit's values follow repeat order
+			for unit, v := range b.Metrics {
+				if _, seen := values[unit]; !seen {
+					units = append(units, unit)
+				}
+				values[unit] = append(values[unit], v)
+			}
+		}
+		sort.Strings(units)
+		folded := Benchmark{
+			Name: k.name, Procs: k.procs,
+			Iterations: int64(math.Round(median(iters))),
+			Metrics:    make(map[string]float64, len(units)),
+			Runs:       len(reps),
+			Spread:     make(map[string]float64, len(units)),
+		}
+		for _, unit := range units {
+			vs := values[unit]
+			med := median(vs)
+			folded.Metrics[unit] = med
+			// median left vs sorted: its ends are the min and the max. A
+			// zero median has no relative spread unless the repeats agree.
+			switch d := vs[len(vs)-1] - vs[0]; {
+			case d <= 0:
+				folded.Spread[unit] = 0
+			case math.Abs(med) > 0:
+				folded.Spread[unit] = d / math.Abs(med)
+			}
+		}
+		out = append(out, folded)
+	}
+	return out
+}
+
+// median sorts vs in place and returns its median (the mean of the two
+// middle values for an even count).
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
+}
+
+// checkRepeats fails when a checksum metric takes different values in the
+// repeats of one (name, procs): checksums are deterministic, so a repeat
+// that disagrees is a behavior change within the run, which a median
+// would hide.
+func checkRepeats(lines []Benchmark) error {
+	first := make(map[string]float64)
+	var mismatches []string
+	for _, b := range lines {
+		//lint:ignore maporder mismatches are sorted before joining into the error
+		for unit, v := range b.Metrics {
+			if !checksumUnit(unit) {
+				continue
+			}
+			k := fmt.Sprintf("%s %s", b.label(), unit)
+			want, seen := first[k]
+			if !seen {
+				first[k] = v
+				continue
+			}
+			//lint:ignore floateq checksums are deterministic; any ulp of drift is a real behavior change
+			if v != want {
+				mismatches = append(mismatches, fmt.Sprintf("%s: repeat got %v, first run %v", k, v, want))
+			}
+		}
+	}
+	if len(mismatches) > 0 {
+		sort.Strings(mismatches)
+		return fmt.Errorf("check-series: %d checksum(s) differ between repeats:\n  %s",
+			len(mismatches), strings.Join(mismatches, "\n  "))
 	}
 	return nil
 }

@@ -489,3 +489,115 @@ func TestCheckSeriesExactProcsWins(t *testing.T) {
 		t.Fatalf("exact-procs checksum match: %v", err)
 	}
 }
+
+// repeatSample is `go test -count 3` output: three lines per benchmark.
+const repeatSample = `goos: linux
+BenchmarkExpm-2 	  100000	     12000 ns/op	     512 B/op	       3 allocs/op
+BenchmarkFig4Smoothing-2 	      10	   9000000 ns/op	 5903135 series-sum	 42.5 MW-sum
+BenchmarkExpm-2 	  120000	     10000 ns/op	     512 B/op	       3 allocs/op
+BenchmarkFig4Smoothing-2 	      12	  11000000 ns/op	 5903135 series-sum	 42.5 MW-sum
+BenchmarkExpm-2 	   90000	     30000 ns/op	     512 B/op	       3 allocs/op
+BenchmarkFig4Smoothing-2 	      11	  10000000 ns/op	 5903135 series-sum	 42.5 MW-sum
+PASS
+ok  	repro	2.459s
+`
+
+func TestRepeatsFoldToMedian(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "bench.json")
+	var stdout bytes.Buffer
+	if err := run([]string{"-out", outPath}, strings.NewReader(repeatSample), &stdout); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum Summary
+	if err := json.Unmarshal(data, &sum); err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Benchmarks) != 2 {
+		t.Fatalf("folded to %d records, want 2 (one per benchmark)", len(sum.Benchmarks))
+	}
+	expm, fig := sum.Benchmarks[0], sum.Benchmarks[1]
+	if expm.Name != "Expm" || fig.Name != "Fig4Smoothing" {
+		t.Fatalf("records %q, %q, want first-seen order Expm, Fig4Smoothing", expm.Name, fig.Name)
+	}
+	// The outlier 30000 ns/op repeat moves neither the median nor the
+	// iteration count; it shows in the spread.
+	if expm.Runs != 3 || expm.Iterations != 100000 || expm.Metrics["ns/op"] != 12000 || expm.Metrics["allocs/op"] != 3 {
+		t.Errorf("Expm = runs %d, %d iters, metrics %v; want 3 runs, 100000 iters, 12000 ns/op, 3 allocs/op",
+			expm.Runs, expm.Iterations, expm.Metrics)
+	}
+	if got, want := expm.Spread["ns/op"], (30000.0-10000)/12000; got != want {
+		t.Errorf("Expm ns/op spread %v, want %v", got, want)
+	}
+	if expm.Spread["allocs/op"] != 0 {
+		t.Errorf("Expm allocs/op spread %v, want 0", expm.Spread["allocs/op"])
+	}
+	if fig.Metrics["ns/op"] != 10000000 || fig.Metrics["series-sum"] != 5903135 || fig.Spread["series-sum"] != 0 {
+		t.Errorf("Fig4Smoothing = metrics %v spread %v", fig.Metrics, fig.Spread)
+	}
+	// -check-perf calibrates with the folded median, not the first sample.
+	stdout.Reset()
+	ref := Summary{Benchmarks: []Benchmark{{Name: "Expm", Metrics: map[string]float64{"ns/op": 6000}}}}
+	refData, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPath := filepath.Join(t.TempDir(), "ref.json")
+	if err := os.WriteFile(refPath, refData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The perf gate fails on the missing pins; only its drift line matters.
+	_ = run([]string{"-out", outPath, "-check-perf", refPath}, strings.NewReader(repeatSample), &stdout)
+	if !strings.Contains(stdout.String(), "machine drift ×2.000") {
+		t.Errorf("calibration did not use the median Expm sample:\n%s", stdout.String())
+	}
+}
+
+func TestRepeatChecksumMismatchFails(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "bench.json")
+	ref := writeRef(t, 5903135)
+	// The second repeat's series-sum is one off: the median would still
+	// match the reference, so the gate must look at the repeats.
+	in := strings.Replace(repeatSample, "11000000 ns/op	 5903135 series-sum", "11000000 ns/op	 5903136 series-sum", 1)
+	var stdout bytes.Buffer
+	err := run([]string{"-out", outPath, "-check-series", ref}, strings.NewReader(in), &stdout)
+	if err == nil || !strings.Contains(err.Error(), "differ between repeats") ||
+		!strings.Contains(err.Error(), "Fig4Smoothing-2 series-sum") {
+		t.Fatalf("want a between-repeats checksum error naming Fig4Smoothing-2 series-sum, got %v", err)
+	}
+	// The matching stream passes the same gate.
+	if err := run([]string{"-out", outPath, "-check-series", ref}, strings.NewReader(repeatSample), &stdout); err != nil {
+		t.Fatalf("equal repeats: %v", err)
+	}
+}
+
+func TestSingleRunWritesNoRepeatFields(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "bench.json")
+	var stdout bytes.Buffer
+	if err := run([]string{"-out", outPath}, strings.NewReader(sample), &stdout); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"runs"`, `"spread"`} {
+		if bytes.Contains(data, []byte(field)) {
+			t.Errorf("one-run summary contains %s:\n%s", field, data)
+		}
+	}
+}
+
+func TestOutputMayBeItsOwnReference(t *testing.T) {
+	// A snapshot named as both -out and the reference is compared as it
+	// was before this run overwrote it.
+	path := writeRef(t, 5903136) // off by one
+	var stdout bytes.Buffer
+	err := run([]string{"-out", path, "-check-series", path}, strings.NewReader(seriesSample), &stdout)
+	if err == nil || !strings.Contains(err.Error(), "drifted") {
+		t.Fatalf("want drift error against the old snapshot, got %v", err)
+	}
+}

@@ -475,14 +475,19 @@ func (c *Controller) slowTick(hour int, demands []float64) error {
 			}
 		}
 		p, err := c.cfg.Prices.Price(top.IDC(j).Region, hour, loadMW)
+		if err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {
+			// A non-finite price is a feed fault, not a price: it takes
+			// the outage path below instead of reaching the model.
+			err = fmt.Errorf("price %g: %w", p, feed.ErrBadSample)
+		}
 		if err != nil {
-			// Price-feed outage. Under a FeedPolicy hold budget, serve
-			// this tick from the last known price vector (whole-vector
-			// hold — a half-fresh vector would price IDCs inconsistently)
-			// and report ModeStalePrice; once the budget is exhausted, or
-			// without a policy, fail the step as before. Holding needs a
-			// last known vector, so an outage on the very first tick
-			// always fails.
+			// Price-feed outage or bad sample. Under a FeedPolicy hold
+			// budget, serve this tick from the last known price vector
+			// (whole-vector hold — a half-fresh vector would price IDCs
+			// inconsistently) and report ModeStalePrice; once the budget
+			// is exhausted, or without a policy, fail the step as before.
+			// Holding needs a last known vector, so an outage on the very
+			// first tick always fails.
 			if c.policy.MaxPriceStaleTicks > 0 && c.started &&
 				len(c.prices) == n && c.staleTicks < c.policy.MaxPriceStaleTicks {
 				c.staleTicks++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/idc"
 	"repro/internal/price"
 	"repro/internal/sleep"
@@ -218,5 +219,69 @@ func TestSetBudgetsDemandResponse(t *testing.T) {
 	}
 	if err := c.SetBudgets([]float64{-1, 0, 0}, false); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative budget: %v", err)
+	}
+}
+
+// TestNonFinitePriceIsAFeedFault pins NaN and ±Inf prices as feed faults.
+// Without a policy the slow tick fails with feed.ErrBadSample before the
+// model is rebuilt, so the model and the held prices are unchanged; under
+// a hold budget the tick serves the last known prices as ModeStalePrice
+// and returns to nominal once the feed is finite again.
+func TestNonFinitePriceIsAFeedFault(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		start := func(t *testing.T, opts ...Option) (*Controller, *togglePrices) {
+			t.Helper()
+			src := &togglePrices{val: 40}
+			cfg := baseConfig()
+			cfg.SlowEvery = 2
+			cfg.Prices = src
+			c, err := New(cfg, opts...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for k := 0; k < 2; k++ { // slow tick, then a fast one
+				if _, err := c.Step(workload.TableI()); err != nil {
+					t.Fatalf("Step %d: %v", k, err)
+				}
+			}
+			src.val = bad
+			return c, src
+		}
+		t.Run(fmt.Sprintf("%g/no-policy", bad), func(t *testing.T) {
+			c, _ := start(t)
+			model, prices := c.model, append([]float64(nil), c.prices...)
+			_, err := c.Step(workload.TableI())
+			if !errors.Is(err, feed.ErrBadSample) {
+				t.Fatalf("Step = %v, want feed.ErrBadSample", err)
+			}
+			if c.model != model || !sameBits(c.prices, prices) {
+				t.Errorf("bad price changed the held state: prices %v → %v, model kept %v",
+					prices, c.prices, c.model == model)
+			}
+		})
+		t.Run(fmt.Sprintf("%g/policy", bad), func(t *testing.T) {
+			c, src := start(t, WithFeedPolicy(FeedPolicy{MaxPriceStaleTicks: 3}))
+			tel, err := c.Step(workload.TableI())
+			if err != nil {
+				t.Fatalf("bad-price slow tick: %v", err)
+			}
+			if tel.Mode != ModeStalePrice {
+				t.Errorf("mode = %v, want stale-price", tel.Mode)
+			}
+			for j, p := range tel.Prices {
+				if p != 40 {
+					t.Errorf("held price[%d] = %g, want the last known 40", j, p)
+				}
+			}
+			src.val = 50
+			for k := 0; k < 2; k++ { // fast step, then the next slow tick
+				if tel, err = c.Step(workload.TableI()); err != nil {
+					t.Fatalf("recovery step %d: %v", k, err)
+				}
+			}
+			if tel.Mode != ModeNominal || tel.Prices[0] != 50 {
+				t.Errorf("after recovery: mode %v, price %g; want nominal at 50", tel.Mode, tel.Prices[0])
+			}
+		})
 	}
 }

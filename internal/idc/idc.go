@@ -47,10 +47,10 @@ func (d IDC) Validate() error {
 	if d.TotalServers <= 0 {
 		return fmt.Errorf("%s: %d servers: %w", d.Name, d.TotalServers, ErrBadTopology)
 	}
-	if d.ServiceRate <= 0 {
+	if !(d.ServiceRate > 0) || math.IsInf(d.ServiceRate, 0) {
 		return fmt.Errorf("%s: service rate %g: %w", d.Name, d.ServiceRate, ErrBadTopology)
 	}
-	if d.DelayBound <= 0 {
+	if !(d.DelayBound > 0) || math.IsInf(d.DelayBound, 0) {
 		return fmt.Errorf("%s: delay bound %g: %w", d.Name, d.DelayBound, ErrBadTopology)
 	}
 	if !(d.BudgetWatts >= 0) || math.IsInf(d.BudgetWatts, 0) {

@@ -29,6 +29,10 @@ func TestIDCValidate(t *testing.T) {
 		"budget":      func(d *IDC) { d.BudgetWatts = -1 },
 		"NaN budget":  func(d *IDC) { d.BudgetWatts = math.NaN() },
 		"+Inf budget": func(d *IDC) { d.BudgetWatts = math.Inf(1) },
+		"NaN rate":    func(d *IDC) { d.ServiceRate = math.NaN() },
+		"+Inf rate":   func(d *IDC) { d.ServiceRate = math.Inf(1) },
+		"NaN delay":   func(d *IDC) { d.DelayBound = math.NaN() },
+		"+Inf delay":  func(d *IDC) { d.DelayBound = math.Inf(1) },
 	}
 	for name, mutate := range cases {
 		d := validIDC()

@@ -262,13 +262,15 @@ func SolveMethod(p *Problem, m Method) (*Result, error) {
 //
 //lint:nocopy
 type tableau struct {
-	a      [][]float64 // m rows, each of length nTotal+1 (last = rhs)
-	basis  []int       // basis[r] = column basic in row r
+	// a holds m rows of length nTotal+1 (last = rhs), cut from one backing
+	// slab.
+	a      [][]float64
+	basis  []int // basis[r] = column basic in row r
 	nOrig  int
 	nSlack int
 	nArt   int
-	// nTotal is the column count excluding the rhs; every row has nTotal+1
-	// entries.
+	// nTotal is the column count excluding the rhs: the originals, one slack
+	// per ≤ row, and one artificial per row that has no unit slack.
 	nTotal int
 	m      int
 	mEq    int
@@ -287,6 +289,11 @@ type tableau struct {
 	// sized, rebuilt at the top of each iterate call and maintained across
 	// pivots.
 	basicMark []bool
+	// rc holds the reduced cost of every column under the current basis,
+	// recomputed at each pivot of iterate; lazily sized like basicMark. When
+	// iterate returns Optimal it holds the final basis's reduced costs,
+	// which duals reads.
+	rc []float64
 	// blandPivots counts pivots taken under Bland's anti-cycling rule, across
 	// the tableau's lifetime. Observability for the degenerate-warm-start test.
 	blandPivots int
@@ -304,8 +311,15 @@ func newTableau(p *Problem) *tableau {
 	}
 	m := mEq + mUb
 	nSlack := mUb
-	// Worst case: one artificial per row.
-	nTotal := nOrig + nSlack + m
+	// Every equality row needs an artificial, and so does every ≤ row with
+	// a negative rhs: normalization flips it, so its slack becomes −1.
+	nArt := mEq
+	for _, b := range p.Bub {
+		if b < 0 {
+			nArt++
+		}
+	}
+	nTotal := nOrig + nSlack + nArt
 	t := &tableau{
 		a:        make([][]float64, m),
 		basis:    make([]int, m),
@@ -318,24 +332,20 @@ func newTableau(p *Problem) *tableau {
 		flipped:  make([]bool, m),
 		artOfRow: make([]int, m),
 	}
-	for r := 0; r < m; r++ {
-		t.a[r] = make([]float64, nTotal+1)
+	w := nTotal + 1
+	slab := make([]float64, m*w)
+	for r := range t.a {
+		t.a[r] = slab[r*w : (r+1)*w : (r+1)*w]
 	}
-	row := 0
 	for r := 0; r < mEq; r++ {
-		for j := 0; j < nOrig; j++ {
-			t.a[row][j] = p.Aeq.At(r, j)
-		}
-		t.a[row][nTotal] = p.Beq[r]
-		row++
+		copy(t.a[r], p.Aeq.RowView(r))
+		t.a[r][nTotal] = p.Beq[r]
 	}
 	for r := 0; r < mUb; r++ {
-		for j := 0; j < nOrig; j++ {
-			t.a[row][j] = p.Aub.At(r, j)
-		}
-		t.a[row][nOrig+r] = 1 // slack
-		t.a[row][nTotal] = p.Bub[r]
-		row++
+		row := t.a[mEq+r]
+		copy(row, p.Aub.RowView(r))
+		row[nOrig+r] = 1 // slack
+		row[nTotal] = p.Bub[r]
 	}
 	// Normalize rhs ≥ 0.
 	for r := 0; r < m; r++ {
@@ -346,43 +356,23 @@ func newTableau(p *Problem) *tableau {
 			t.flipped[r] = true
 		}
 	}
-	// Choose initial basis: prefer a slack with coefficient +1, else add an
-	// artificial variable.
+	// Initial basis: an unflipped ≤ row's slack is +1 in that row and 0
+	// elsewhere; every other row gets the next artificial column.
 	for r := 0; r < m; r++ {
-		t.basis[r] = -1
 		t.artOfRow[r] = -1
-		for j := nOrig; j < nOrig+nSlack; j++ {
-			if t.a[r][j] == 1 && t.colIsUnit(j, r) {
-				t.basis[r] = j
-				break
-			}
+		if r >= mEq && !t.flipped[r] {
+			t.basis[r] = nOrig + (r - mEq)
+			continue
 		}
-		if t.basis[r] == -1 {
-			col := t.artStart + t.nArt
-			t.nArt++
-			t.a[r][col] = 1
-			t.basis[r] = col
-			t.artOfRow[r] = col
-		}
+		col := t.artStart + t.nArt
+		t.nArt++
+		t.a[r][col] = 1
+		t.basis[r] = col
+		t.artOfRow[r] = col
 	}
 	t.phase2Cost = make([]float64, nTotal)
 	copy(t.phase2Cost, p.C)
 	return t
-}
-
-// colIsUnit reports whether column j is 1 in row r and 0 elsewhere.
-func (t *tableau) colIsUnit(j, r int) bool {
-	for i := 0; i < t.m; i++ {
-		v := t.a[i][j]
-		if i == r {
-			if v != 1 {
-				return false
-			}
-		} else if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // rhsCol is the rhs column index. It must not read t.a: a problem with no
@@ -391,12 +381,12 @@ func (t *tableau) colIsUnit(j, r int) bool {
 func (t *tableau) rhsCol() int { return t.nTotal }
 
 // run executes phase 1 (if artificials exist) and phase 2, returning the
-// result in terms of the original variables. Objective coefficients are
-// provided per phase via cost closures.
+// result in terms of the original variables. Phase 1 minimizes the sum of
+// the artificials, phase 2 the original objective.
 func (t *tableau) run() *Result {
-	// The cost row is maintained implicitly: at each pricing step we compute
-	// reduced costs from the current basis. This is O(m·n) per iteration,
-	// fine at our scale, and avoids cost-row drift.
+	// No cost row is carried through the pivots: iterate recomputes the
+	// reduced costs from the current basis at every pivot, which avoids
+	// cost-row drift.
 	if t.nArt > 0 {
 		cost := make([]float64, t.rhsCol())
 		for j := t.artStart; j < t.artStart+t.nArt; j++ {
@@ -416,19 +406,16 @@ func (t *tableau) run() *Result {
 		}
 		t.driveOutArtificials()
 	}
-	cost := make([]float64, t.rhsCol())
-	// Phase 2 cost: original C, artificials forbidden via +inf barrier is
-	// handled by never letting them enter (entering loop skips them).
-	copy(cost, t.phase2Cost)
-	return t.phase2(cost)
+	return t.phase2()
 }
 
-// phase2 runs phase-2 pivots from the current basis with the given cost row
-// and extracts the result. The cold path (run) and the warm-start path
-// (Solver) share it, so both produce results via the same pivot rule,
-// tolerances, and extraction code.
-func (t *tableau) phase2(cost []float64) *Result {
-	st := t.iterate(cost, math.Inf(1))
+// phase2 runs phase-2 pivots from the current basis under t.phase2Cost and
+// extracts the result. Artificials never re-enter: the entering scan skips
+// them. The cold path (run) and the warm-start path (Solver) share it, so
+// both produce results via the same pivot rule, tolerances, and extraction
+// code.
+func (t *tableau) phase2() *Result {
+	st := t.iterate(t.phase2Cost, math.Inf(1))
 	switch st {
 	case Unbounded:
 		//lint:ignore hotalloc independently-owned result (bounded by TestSolverWarmResolveAllocationBounded)
@@ -445,7 +432,7 @@ func (t *tableau) phase2(cost []float64) *Result {
 			x[b] = t.a[r][rhs]
 		}
 	}
-	dualsEq, dualsUb := t.duals(cost)
+	dualsEq, dualsUb := t.duals()
 	//lint:ignore hotalloc independently-owned result (bounded by TestSolverWarmResolveAllocationBounded)
 	return &Result{
 		Status: Optimal, X: x,
@@ -460,17 +447,11 @@ func (t *tableau) phase2(cost []float64) *Result {
 // costs of the columns that started as identity: the slack column of each
 // ≤ row and the artificial column of each = row have A-column e_r, so
 // rc_col = c_col − y_r with c_col = 0 in phase 2, i.e. y_r = −rc_col.
-// Rows negated during rhs normalization flip the sign back.
-func (t *tableau) duals(cost []float64) (dualsEq, dualsUb []float64) {
-	reduced := func(col int) float64 {
-		rc := cost[col]
-		for r, b := range t.basis {
-			if cb := cost[b]; cb != 0 && t.a[r][col] != 0 {
-				rc -= cb * t.a[r][col]
-			}
-		}
-		return rc
-	}
+// Rows negated during rhs normalization flip the sign back. It reads the
+// reduced costs iterate left in t.rc, so call it only right after an
+// iterate that returned Optimal.
+func (t *tableau) duals() (dualsEq, dualsUb []float64) {
+	rc := t.rc
 	//lint:ignore hotalloc independently-owned result (bounded by TestSolverWarmResolveAllocationBounded)
 	dualsEq = make([]float64, t.mEq)
 	for r := 0; r < t.mEq; r++ {
@@ -478,7 +459,7 @@ func (t *tableau) duals(cost []float64) (dualsEq, dualsUb []float64) {
 		if col < 0 {
 			continue // no identity column for this row; dual unknown → 0
 		}
-		y := -reduced(col)
+		y := -rc[col]
 		if t.flipped[r] {
 			y = -y
 		}
@@ -491,7 +472,7 @@ func (t *tableau) duals(cost []float64) (dualsEq, dualsUb []float64) {
 		// row was flipped (slack coefficient −1); recover via whichever
 		// identity column exists.
 		col := t.nOrig + (r - t.mEq)
-		y := -reduced(col)
+		y := -rc[col]
 		if t.flipped[r] {
 			y = -y
 		}
@@ -514,10 +495,16 @@ func (t *tableau) objective(cost []float64) float64 {
 // iteration cap. cost has one entry per tableau column (excluding rhs).
 func (t *tableau) iterate(cost []float64, _ float64) Status {
 	n := t.rhsCol()
-	maxIters := 200 + 50*(t.m+n)
+	// The cap counts one artificial column per row, needed or not, so it
+	// does not depend on how many rows flipped.
+	maxIters := 200 + 50*(2*t.m+t.artStart)
 	if len(t.basicMark) < n {
 		//lint:ignore hotalloc grow-only scratch: sized once per tableau, reused by later iterates
 		t.basicMark = make([]bool, n)
+	}
+	if len(t.rc) < n {
+		//lint:ignore hotalloc grow-only scratch: sized once per tableau, reused by later iterates
+		t.rc = make([]float64, n)
 	}
 	mark := t.basicMark[:n]
 	for j := range mark {
@@ -526,6 +513,7 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 	for _, b := range t.basis {
 		mark[b] = true
 	}
+	rc := t.rc[:n]
 	// cost is fixed for the whole call, so the phase test is loop-invariant.
 	inP1 := t.inPhase1(cost)
 	for local := 0; ; local++ {
@@ -534,8 +522,25 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 		}
 		t.iters++
 		useBland := local > blandAfter
-		// Compute simplex multipliers y via reduced costs directly:
-		// rc_j = c_j - Σ_r c_{basis[r]}·a[r][j].
+		// Reduced costs rc_j = c_j − Σ_r c_{basis[r]}·a[r][j], accumulated
+		// row by row over the rows whose basic cost is nonzero (in phase 1,
+		// only the rows an artificial still holds). Each rc_j takes the same
+		// nonzero terms in the same ascending-r order as a per-column sum,
+		// so it rounds identically.
+		copy(rc, cost[:n])
+		for r, b := range t.basis {
+			cb := cost[b]
+			if cb == 0 {
+				continue
+			}
+			row := t.a[r][:n]
+			rc := rc[:len(row)]
+			for j, v := range row {
+				if v != 0 {
+					rc[j] -= cb * v
+				}
+			}
+		}
 		enter := -1
 		bestRC := -pivotTol
 		for j := 0; j < n; j++ {
@@ -548,18 +553,12 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 			if cost[j] == 0 && j >= t.artStart && j < t.artStart+t.nArt && !inP1 {
 				continue
 			}
-			rc := cost[j]
-			for r, b := range t.basis {
-				if cb := cost[b]; cb != 0 && t.a[r][j] != 0 {
-					rc -= cb * t.a[r][j]
-				}
-			}
-			if rc < bestRC {
+			if rc[j] < bestRC {
 				if useBland {
 					enter = j
 					break
 				}
-				bestRC = rc
+				bestRC = rc[j]
 				enter = j
 			}
 		}

@@ -63,8 +63,6 @@ type Solver struct {
 
 	lastOptimal bool
 
-	costBuf []float64 // phase-2 cost row scratch for warm resolves
-
 	warm, cold int
 
 	instr Instruments
@@ -173,16 +171,10 @@ func (s *Solver) warmSolve(p *Problem) *Result {
 		return res
 	}
 	t := s.t
-	copy(t.phase2Cost[:t.nOrig], p.C)
 	// phase2Cost's slack/artificial tail is zero by construction and never
 	// written, so only the original-variable prefix needs refreshing.
-	s.costBuf = mat.GrowVec(s.costBuf, t.rhsCol())
-	cost := s.costBuf
-	for i := range cost {
-		cost[i] = 0
-	}
-	copy(cost, t.phase2Cost)
-	res := t.phase2(cost)
+	copy(t.phase2Cost[:t.nOrig], p.C)
+	res := t.phase2()
 	if res.Status != Optimal {
 		// A changed cost vector cannot make a feasible problem infeasible;
 		// unbounded or iteration-limited warm runs are re-tried cold so the

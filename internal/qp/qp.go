@@ -1025,35 +1025,32 @@ func findFeasible(p *Problem) ([]float64, error) {
 	for i := 0; i < mIn; i++ {
 		c[2*n+i] = 1
 	}
-	var aeq *mat.Dense
-	var beq []float64
+	// split writes row src into dst as [src, −src], leaving dst's tail.
+	split := func(dst, src []float64) {
+		copy(dst, src)
+		neg := dst[n : 2*n]
+		for j, v := range src {
+			neg[j] = -v
+		}
+	}
+	// lp.Solve neither keeps nor writes Beq and Bub, so p's right-hand
+	// sides go in without a copy.
+	ph1 := &lp.Problem{C: c}
 	if p.Aeq != nil {
-		mEq := p.Aeq.Rows()
-		aeq = mat.Zeros(mEq, nv)
-		for i := 0; i < mEq; i++ {
-			for j := 0; j < n; j++ {
-				v := p.Aeq.At(i, j)
-				aeq.Set(i, j, v)
-				aeq.Set(i, n+j, -v)
-			}
+		ph1.Aeq, ph1.Beq = mat.Zeros(p.Aeq.Rows(), nv), p.Beq
+		for i := 0; i < p.Aeq.Rows(); i++ {
+			split(ph1.Aeq.RowView(i), p.Aeq.RowView(i))
 		}
-		beq = append([]float64{}, p.Beq...)
 	}
-	var aub *mat.Dense
-	var bub []float64
 	if p.Ain != nil {
-		aub = mat.Zeros(mIn, nv)
+		ph1.Aub, ph1.Bub = mat.Zeros(mIn, nv), p.Bin
 		for i := 0; i < mIn; i++ {
-			for j := 0; j < n; j++ {
-				v := p.Ain.At(i, j)
-				aub.Set(i, j, v)
-				aub.Set(i, n+j, -v)
-			}
-			aub.Set(i, 2*n+i, -1)
+			row := ph1.Aub.RowView(i)
+			split(row, p.Ain.RowView(i))
+			row[2*n+i] = -1
 		}
-		bub = append([]float64{}, p.Bin...)
 	}
-	res, err := lp.Solve(&lp.Problem{C: c, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub})
+	res, err := lp.Solve(ph1)
 	if err != nil {
 		return nil, fmt.Errorf("qp: phase-1 LP: %w", err)
 	}
