@@ -13,6 +13,7 @@ import (
 	"repro"
 	"repro/internal/ctrl"
 	"repro/internal/experiments"
+	"repro/internal/feed"
 	"repro/internal/idc"
 	"repro/internal/lp"
 	"repro/internal/mat"
@@ -82,11 +83,14 @@ func flipScenario(budgets []float64) sim.Scenario {
 	}
 }
 
-func benchScenario(b *testing.B, budgets []float64) {
+// benchScenario runs the closed loop scenario() builds, once per
+// iteration, and reports the sum of its per-IDC power series. A scenario
+// with a demand source consumes it, so scenario must build a fresh one.
+func benchScenario(b *testing.B, scenario func() sim.Scenario) {
 	b.Helper()
 	var checksum float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(flipScenario(budgets))
+		res, err := sim.Run(scenario())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,12 +106,43 @@ func benchScenario(b *testing.B, budgets []float64) {
 
 // BenchmarkFig4Smoothing runs the full §V.B smoothing experiment
 // (also covers Fig. 5's server series — same closed-loop run).
-func BenchmarkFig4Smoothing(b *testing.B) { benchScenario(b, nil) }
+func BenchmarkFig4Smoothing(b *testing.B) {
+	benchScenario(b, func() sim.Scenario { return flipScenario(nil) })
+}
 
 // BenchmarkFig6PeakShaving runs the full §V.C budget experiment
 // (also covers Fig. 7's server series — same closed-loop run).
 func BenchmarkFig6PeakShaving(b *testing.B) {
-	benchScenario(b, []float64{5.13e6, 10.26e6, 4.275e6})
+	benchScenario(b, func() sim.Scenario { return flipScenario([]float64{5.13e6, 10.26e6, 4.275e6}) })
+}
+
+// BenchmarkGridC8N6 runs the closed loop of the grid-c8n6 tick-benchmark
+// workload: the C8×N6 synthetic grid (144 QP variables) at 9000 req/s per
+// portal, 140 steps of 30 s from 6 a.m. with the hourly slow loop, so the
+// 7 a.m. price change re-plans the MPC from a cold condensed cache once.
+func BenchmarkGridC8N6(b *testing.B) {
+	top, err := idc.SyntheticTopology(8, 6, 20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchScenario(b, func() sim.Scenario {
+		return sim.Scenario{
+			Name:     "bench-grid-c8n6",
+			Topology: top,
+			Prices:   price.NewEmbeddedModel(),
+			DemandSource: feed.FromFunc(func(int) []float64 {
+				demands := make([]float64, top.C())
+				for i := range demands {
+					demands[i] = 9000
+				}
+				return demands
+			}),
+			Steps:     140,
+			Ts:        30,
+			StartHour: 6,
+			MPC:       ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 4, PredHorizon: 6, CtrlHorizon: 3},
+		}
+	})
 }
 
 // BenchmarkAllExperiments measures the full `idcexp -exp all` sweep on the

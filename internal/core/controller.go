@@ -463,16 +463,20 @@ func (c *Controller) slowTick(hour int, demands []float64) error {
 	top := c.cfg.Topology
 	n := top.N()
 
-	// Current prices per region; the bid-stack model sees our latest power.
+	// Current prices per region; the bid-stack model sees our latest power,
+	// computed once for the whole fleet (an error leaves every load at 0).
+	var rates []float64
+	if c.started {
+		if r, err := c.model.PowerRates(c.u, c.servers); err == nil {
+			rates = r
+		}
+	}
 	stale := false
 	prices := make([]float64, n)
 	for j := 0; j < n; j++ {
 		var loadMW float64
-		if c.started {
-			rates, err := c.model.PowerRates(c.u, c.servers)
-			if err == nil {
-				loadMW = power.WattsToMW(rates[j])
-			}
+		if rates != nil {
+			loadMW = power.WattsToMW(rates[j])
 		}
 		p, err := c.cfg.Prices.Price(top.IDC(j).Region, hour, loadMW)
 		if err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {

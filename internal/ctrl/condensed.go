@@ -1,17 +1,70 @@
 package ctrl
 
 import (
+	"repro/internal/idc"
 	"repro/internal/mat"
 	"repro/internal/qp"
 )
 
+// constraints is the structural part of (43)–(45): the 0/1 conservation
+// and latency matrices H and Ψ, their block-stacked horizon versions and
+// those in compressed-row form. Demands, server counts and U(k−1) only
+// enter the right-hand sides, which Step rebuilds every call, so all of
+// this depends on (C, N, β2) alone, never on the model. An MPC builds it
+// when it first sees a topology and shares it, read-only, across the
+// condensed caches of every model after that.
+type constraints struct {
+	c, n  int
+	consH *mat.Dense
+	psi   *mat.Dense
+	aeq   *mat.Dense
+	ain   *mat.Dense
+	// aeqS/ainS are aeq/ain compressed. Of the nu·β2 columns, a step-s
+	// conservation row touches N·(s+1), a latency row C·(s+1) and a
+	// nonnegativity row s+1, so every row dot of the solver and of
+	// pointFeasible drops to O(nnz). The dots are bit-identical to the
+	// dense ones (mat.SparseRows).
+	aeqS *mat.SparseRows
+	ainS *mat.SparseRows
+}
+
+// newConstraints builds the constraint structure of top over a control
+// horizon of b2 steps: constraint blocks at step s touch ΔU_0 … ΔU_s.
+func newConstraints(top *idc.Topology, b2 int) *constraints {
+	consH := top.ConservationMatrix()
+	psi := top.LatencyMatrix()
+	c := top.C()
+	n := top.N()
+	nu := top.NU()
+	aeq := mat.Zeros(c*b2, nu*b2)
+	ain := mat.Zeros((n+nu)*b2, nu*b2)
+	for s := 0; s < b2; s++ {
+		for r := 0; r <= s; r++ {
+			aeq.SetBlock(s*c, r*nu, consH)
+			ain.SetBlock(s*n, r*nu, psi)
+			for i := 0; i < nu; i++ {
+				ain.Set(b2*n+s*nu+i, r*nu+i, -1)
+			}
+		}
+	}
+	return &constraints{
+		c: c, n: n,
+		consH: consH,
+		psi:   psi,
+		aeq:   aeq,
+		ain:   ain,
+		aeqS:  mat.SparseRowsFrom(aeq),
+		ainS:  mat.SparseRowsFrom(ain),
+	}
+}
+
 // condensed caches everything about the MPC problem (42)–(45) that depends
 // only on the model and the controller configuration: the Φ power chain,
 // the cumG/cumPhi prefix sums, the condensed prediction matrix Θ, the
-// stacked row and move weights, the structural constraint matrices and the
-// lowered QP Hessian, plus a qp.Workspace carrying the solver's cross-solve
-// caches (Cholesky factor of H, H⁻¹aᵢ columns, Schur products,
-// Gram–Schmidt prune state).
+// stacked row and move weights and the lowered QP Hessian, plus a
+// qp.Workspace carrying the solver's cross-solve caches (Cholesky factor
+// of H, H⁻¹aᵢ columns, Schur products, Gram–Schmidt prune state). The
+// constraint structure it solves against is the MPC's shared one.
 //
 // The paper's two-time-scale design (§IV) makes this worthwhile: the
 // discretized model changes only at slow ticks (hourly price updates), yet
@@ -41,33 +94,22 @@ type condensed struct {
 	wr   []float64
 	form *qp.LSForm
 
-	// consH/psi are the structural (0/1) conservation and latency matrices;
-	// aeq/ain are their block-stacked horizon versions. Demands, server
-	// counts and U(k−1) only enter the right-hand sides, which Step
-	// rebuilds every call.
-	consH *mat.Dense
-	psi   *mat.Dense
-	aeq   *mat.Dense
-	ain   *mat.Dense
-	// aeqS/ainS are compressed views of aeq/ain, populated only when the
-	// form is structured (planet-scale topologies): each horizon row touches
-	// a handful of columns out of thousands, so the solver's row dots drop
-	// to O(nnz). Sparse and dense dots are bit-identical, but the small
-	// checksummed topologies keep the legacy dense-only path regardless.
-	aeqS *mat.SparseRows
-	ainS *mat.SparseRows
+	// cons is the MPC's constraint structure, shared with the condensed
+	// caches of its other models and never written.
+	cons *constraints
 
 	// ws carries the QP solver's cross-solve caches; valid exactly as long
-	// as this condensed is (fixed H, aeq, ain).
+	// as this condensed is (fixed H and constraint structure).
 	ws *qp.Workspace
 }
 
-// newCondensed builds the cache for one model+configuration pair. The
+// newCondensed builds the cache for one model+configuration pair over the
+// constraint structure cons, which must fit the model's topology. The
 // construction is the exact code the uncached MPC.Step ran inline, moved
 // here so the fast loop can reuse it. (The intermediate phiG[t] = Φ^t·G
 // terms exist only during construction — they fold into cumG and are not
 // retained.)
-func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
+func newCondensed(model *Model, cfg MPCConfig, cons *constraints) (*condensed, error) {
 	top := model.Topology()
 	ns := model.StateDim()
 	nu := model.InputDim()
@@ -184,11 +226,9 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 	// (it never does for the ridge-floored wr built above, but the fallback
 	// keeps the controller total); a rejection drops to the dense form.
 	var form *qp.LSForm
-	structuredForm := false
 	if nu*b2 >= qp.StructuredMinVars && !cfg.ForceDense {
 		if f, err := qp.NewStructuredLSForm(theta, wq, wr); err == nil {
 			form = f
-			structuredForm = true
 		}
 	}
 	if form == nil {
@@ -197,30 +237,6 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 			return nil, err
 		}
 		form = f
-	}
-
-	// Constraint structure of (43)–(45): constraint blocks at step s touch
-	// ΔU_0 … ΔU_s. H and Ψ are 0/1 structural matrices — demands, server
-	// counts and U(k−1) enter only the right-hand sides.
-	consH := top.ConservationMatrix()
-	psi := top.LatencyMatrix()
-	c := top.C()
-	n := top.N()
-	aeq := mat.Zeros(c*b2, nu*b2)
-	ain := mat.Zeros((n+nu)*b2, nu*b2)
-	for s := 0; s < b2; s++ {
-		for r := 0; r <= s; r++ {
-			aeq.SetBlock(s*c, r*nu, consH)
-			ain.SetBlock(s*n, r*nu, psi)
-			for i := 0; i < nu; i++ {
-				ain.Set(b2*n+s*nu+i, r*nu+i, -1)
-			}
-		}
-	}
-	var aeqS, ainS *mat.SparseRows
-	if structuredForm {
-		aeqS = mat.SparseRowsFrom(aeq)
-		ainS = mat.SparseRowsFrom(ain)
 	}
 
 	return &condensed{
@@ -233,12 +249,7 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 		wq:      wq,
 		wr:      wr,
 		form:    form,
-		consH:   consH,
-		psi:     psi,
-		aeq:     aeq,
-		ain:     ain,
-		aeqS:    aeqS,
-		ainS:    ainS,
+		cons:    cons,
 		ws:      qp.NewWorkspace(),
 	}, nil
 }

@@ -80,6 +80,9 @@ type MPC struct {
 	// regime) it was planned under, so Step discards it whenever the model
 	// identity changes.
 	prevZ []float64
+	// cons is the constraint structure of the topology shape last seen,
+	// shared by every condensed cache built for it; a model swap keeps it.
+	cons *constraints
 	// cache holds the condensed matrices for the current model; lastModel/
 	// lastVersion track the model identity the controller state (cache and
 	// prevZ alike) belongs to.
@@ -229,8 +232,12 @@ func (m *MPC) condensedFor(model *Model) (*condensed, error) {
 		return m.cache, nil
 	}
 	m.instr.CacheMisses.Inc()
+	if top := model.Topology(); m.cons == nil || m.cons.c != top.C() || m.cons.n != top.N() {
+		//lint:ignore hotalloc built once per topology shape; model swaps reuse it
+		m.cons = newConstraints(top, m.cfg.CtrlHorizon)
+	}
 	//lint:ignore hotalloc cold cache rebuild: runs only when the model identity changed
-	cd, err := newCondensed(model, m.cfg)
+	cd, err := newCondensed(model, m.cfg, m.cons)
 	if err != nil {
 		return nil, err
 	}
@@ -348,9 +355,9 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 
 	sc.ls = qp.LSProblem{
 		M: cd.theta, D: d, Wq: cd.wq, Wr: cd.wr,
-		Aeq: cd.aeq, Beq: beq,
-		Ain: cd.ain, Bin: bin,
-		AeqSparse: cd.aeqS, AinSparse: cd.ainS,
+		Aeq: cd.cons.aeq, Beq: beq,
+		Ain: cd.cons.ain, Bin: bin,
+		AeqSparse: cd.cons.aeqS, AinSparse: cd.cons.ainS,
 		X0: m.warmStart(nu, b2, cd, beq, bin),
 	}
 	res, err := qp.SolveLSWith(&sc.ls, cd.form, cd.ws)
@@ -431,51 +438,39 @@ func (m *MPC) warmStart(nu, b2 int, cd *condensed, beq, bin []float64) []float64
 }
 
 // pointFeasible checks Aeq·z = beq and Ain·z ≤ bin within tolerance,
-// through the compressed constraint rows when the condensed cache carries
-// them (the products are bit-identical to the dense ones; only the dropped
-// exact-zero terms differ).
+// through the compressed constraint rows (the products are bit-identical
+// to the dense ones; only the dropped exact-zero terms differ).
 func (m *MPC) pointFeasible(z []float64, cd *condensed, beq, bin []float64) bool {
 	const tol = 1e-7
 	sc := &m.sc
-	if cd.aeq != nil {
-		sc.feasBuf = mat.GrowVec(sc.feasBuf, cd.aeq.Rows())
-		v := sc.feasBuf
-		if err := constraintMulVec(v, cd.aeq, cd.aeqS, z); err != nil {
+	cons := cd.cons
+	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.aeqS.Rows())
+	v := sc.feasBuf
+	if err := cons.aeqS.MulVecInto(v, z); err != nil {
+		return false
+	}
+	// The row tolerance is loop-invariant: hoisting the norm out of the
+	// row loop computes the exact same scale once instead of O(rows)
+	// times, so every accept/reject decision is unchanged.
+	scale := 1 + mat.NormInfVec(beq)
+	for i := range beq {
+		if diff := v[i] - beq[i]; diff > tol*scale || diff < -tol*scale {
 			return false
-		}
-		// The row tolerance is loop-invariant: hoisting the norm out of the
-		// row loop computes the exact same scale once instead of O(rows)
-		// times, so every accept/reject decision is unchanged.
-		scale := 1 + mat.NormInfVec(beq)
-		for i := range beq {
-			if diff := v[i] - beq[i]; diff > tol*scale || diff < -tol*scale {
-				return false
-			}
 		}
 	}
-	if cd.ain != nil {
-		sc.feasBuf = mat.GrowVec(sc.feasBuf, cd.ain.Rows())
-		v := sc.feasBuf
-		if err := constraintMulVec(v, cd.ain, cd.ainS, z); err != nil {
+	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.ainS.Rows())
+	v = sc.feasBuf
+	if err := cons.ainS.MulVecInto(v, z); err != nil {
+		return false
+	}
+	// Same hoist as the equality rows: one norm, identical decisions.
+	binTol := tol * (1 + mat.NormInfVec(bin))
+	for i := range bin {
+		if v[i] > bin[i]+binTol {
 			return false
-		}
-		// Same hoist as the equality rows: one norm, identical decisions.
-		binTol := tol * (1 + mat.NormInfVec(bin))
-		for i := range bin {
-			if v[i] > bin[i]+binTol {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// constraintMulVec computes dst = A·z through the sparse view when present.
-func constraintMulVec(dst []float64, dense *mat.Dense, sparse *mat.SparseRows, z []float64) error {
-	if sparse != nil {
-		return sparse.MulVecInto(dst, z)
-	}
-	return mat.MulVecInto(dst, dense, z)
 }
 
 func (m *MPC) validate(in StepInput) error {
@@ -522,12 +517,12 @@ func (m *MPC) constraintRHS(cd *condensed, in StepInput) (beq, bin []float64, er
 	}
 	sc.hPrev = mat.GrowVec(sc.hPrev, c)
 	hPrev := sc.hPrev
-	if err := mat.MulVecInto(hPrev, cd.consH, in.PrevU); err != nil {
+	if err := mat.MulVecInto(hPrev, cd.cons.consH, in.PrevU); err != nil {
 		return nil, nil, err
 	}
 	sc.psiPrev = mat.GrowVec(sc.psiPrev, n)
 	psiPrev := sc.psiPrev
-	if err := mat.MulVecInto(psiPrev, cd.psi, in.PrevU); err != nil {
+	if err := mat.MulVecInto(psiPrev, cd.cons.psi, in.PrevU); err != nil {
 		return nil, nil, err
 	}
 

@@ -123,13 +123,13 @@ func TestMPCStructuredMatchesDense(t *testing.T) {
 		ind.PrevU = append([]float64(nil), outD.U...)
 	}
 
-	// The dispatch actually diverged: the structured cache carries the
-	// compressed constraint rows, the dense one must not.
-	if ms.cache.aeqS == nil || ms.cache.ainS == nil {
+	// The dispatch actually diverged: the structured form never materializes
+	// the Hessian, the ForceDense one must.
+	if ms.cache.form.Hessian() != nil {
 		t.Fatal("structured controller did not take the structured path")
 	}
-	if md.cache.aeqS != nil || md.cache.ainS != nil {
-		t.Fatal("ForceDense controller attached sparse constraint rows")
+	if md.cache.form.Hessian() == nil {
+		t.Fatal("ForceDense controller took the structured path")
 	}
 }
 
@@ -150,11 +150,11 @@ func TestMPCSmallTopologyStaysDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := newCondensed(model, mpc.cfg)
+	cd, err := newCondensed(model, mpc.cfg, newConstraints(top, mpc.cfg.CtrlHorizon))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cd.aeqS != nil || cd.ainS != nil {
+	if cd.form.Hessian() == nil {
 		t.Fatal("small topology took the structured path")
 	}
 }

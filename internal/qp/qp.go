@@ -61,11 +61,14 @@ type Problem struct {
 	Ain *mat.Dense
 	Bin []float64
 	// AeqSparse/AinSparse optionally carry the same constraint matrices in
-	// compressed-row form. When set they must match Aeq/Ain value for value;
-	// the solver then routes its hot row dot products (initial active-set
-	// detection, line search, Schur right-hand sides) through the sparse
-	// rows — bit-identical to the dense dots, O(nnz) instead of O(n) per
-	// row. The dense matrices are still required (Gram–Schmidt pruning and
+	// compressed-row form. When set they must match Aeq/Ain value for value.
+	// Every row dot product and row update of the solver (initial active-set
+	// detection, feasibility check, line search, Schur assembly and
+	// right-hand sides) walks compressed rows — bit-identical to the dense
+	// dots, O(nnz) instead of O(n) per row. When these are nil the workspace
+	// compresses Aeq/Ain itself, once per workspace; a caller that builds
+	// many workspaces over one constraint structure supplies them to skip
+	// that. The dense matrices are still required (Gram–Schmidt pruning and
 	// the H⁻¹aᵢ solves read full rows).
 	AeqSparse *mat.SparseRows
 	AinSparse *mat.SparseRows
@@ -170,9 +173,10 @@ type Workspace struct {
 	lastActiveOK bool
 	// prune is the incremental Gram–Schmidt state of pruneDependent.
 	prune pruneState
-	// aeqRows/ainRows are the materialized constraint rows (Dense.Row
-	// copies), filled lazily.
+	// aeqRows/ainRows are views of the dense constraint rows, filled lazily;
+	// aeqS/ainS are the same rows compressed (see rows).
 	aeqRows, ainRows [][]float64
+	aeqS, ainS       *mat.SparseRows
 
 	// Grow-only scratch. Once every buffer has reached the problem's steady
 	// size, a SolveWith call that stays on the cached Schur path performs no
@@ -217,17 +221,23 @@ func (ws *Workspace) SetInstruments(in Instruments) { ws.instr = in }
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// rows materializes (and caches) the constraint rows of p as views into the
-// constraint matrices — no copies, so planet-scale row sets cost pointers
-// only. The views share the matrices' backing storage, which is safe under
-// the workspace contract: Aeq/Ain are fixed for the workspace's lifetime
-// and the solver never writes through a row.
+// rows materializes (and caches) the constraint rows of p in two forms:
+// views into the dense matrices — no copies, so planet-scale row sets cost
+// pointers only — and compressed rows, taken from p.AeqSparse/AinSparse or
+// else built from Aeq/Ain once. Both are safe to keep under the workspace
+// contract: Aeq/Ain are fixed for the workspace's lifetime and the solver
+// never writes through a row.
 func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
 	if ws.aeqRows == nil && p.Aeq != nil {
 		//lint:ignore hotalloc one-time row-cache fill; every later solve reuses the rows
 		ws.aeqRows = make([][]float64, p.Aeq.Rows())
 		for i := range ws.aeqRows {
 			ws.aeqRows[i] = p.Aeq.RowView(i)
+		}
+		ws.aeqS = p.AeqSparse
+		if ws.aeqS == nil {
+			//lint:ignore hotalloc one-time row compression; every later solve reuses it
+			ws.aeqS = mat.SparseRowsFrom(p.Aeq)
 		}
 	}
 	if ws.ainRows == nil && p.Ain != nil {
@@ -236,11 +246,40 @@ func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
 		for i := range ws.ainRows {
 			ws.ainRows[i] = p.Ain.RowView(i)
 		}
+		ws.ainS = p.AinSparse
+		if ws.ainS == nil {
+			//lint:ignore hotalloc one-time row compression; every later solve reuses it
+			ws.ainS = mat.SparseRowsFrom(p.Ain)
+		}
 	}
 	return ws.aeqRows, ws.ainRows
 }
 
-// Validate checks dimensional consistency.
+// rowDotID computes the dot product of constraint row id (equalities first,
+// then inequalities) with x over the row's compressed nonzeros. It is
+// bit-identical to the dense row dot for finite x: each skipped term is an
+// exact ±0, and adding ±0 never changes a running sum that starts at +0.
+// (A dense dot would turn 0·NaN or 0·Inf into NaN; Validate's finiteness
+// checks keep such values out of the solver's vectors.)
+func (ws *Workspace) rowDotID(mEq, id int, x []float64) float64 {
+	if id < mEq {
+		return ws.aeqS.RowDot(id, x)
+	}
+	return ws.ainS.RowDot(id-mEq, x)
+}
+
+// rowAxpyID accumulates dst += a·(constraint row id) over the row's
+// compressed nonzeros.
+func (ws *Workspace) rowAxpyID(mEq, id int, a float64, dst []float64) {
+	if id < mEq {
+		ws.aeqS.AddScaledRowInto(dst, id, a)
+		return
+	}
+	ws.ainS.AddScaledRowInto(dst, id-mEq, a)
+}
+
+// Validate checks dimensional consistency and that every data vector
+// (Q, Beq, Bin, X0) is finite.
 func (p *Problem) Validate() error {
 	var n int
 	if p.form != nil && p.form.structured() {
@@ -274,6 +313,28 @@ func (p *Problem) Validate() error {
 	}
 	if p.X0 != nil && len(p.X0) != n {
 		return fmt.Errorf("X0 has length %d, want %d: %w", len(p.X0), n, ErrBadProblem)
+	}
+	// A NaN or ±Inf here would not fail the solve: it would flow into the
+	// iterate and come back as a silently wrong answer.
+	if err := checkFinite("Q", p.Q); err != nil {
+		return err
+	}
+	if err := checkFinite("Beq", p.Beq); err != nil {
+		return err
+	}
+	if err := checkFinite("Bin", p.Bin); err != nil {
+		return err
+	}
+	return checkFinite("X0", p.X0)
+}
+
+// checkFinite returns ErrBadProblem naming the first NaN or ±Inf entry of
+// the vector called name.
+func checkFinite(name string, xs []float64) error {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%s[%d] = %v: %w", name, i, x, ErrBadProblem)
+		}
 	}
 	return nil
 }
@@ -420,7 +481,7 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 	useHint := p.form != nil && p.form.structured() &&
 		ws.lastActiveOK && len(ws.lastActive) == mIn
 	for i := 0; i < mIn; i++ {
-		if math.Abs(rowDotID(p, mEq, mEq+i, ainRows[i], x)-p.Bin[i]) <= featol {
+		if math.Abs(ws.rowDotID(mEq, mEq+i, x)-p.Bin[i]) <= featol {
 			active[i] = !useHint || ws.lastActive[i]
 		}
 	}
@@ -491,12 +552,11 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 			if active[i] {
 				continue
 			}
-			row := ainRows[i]
-			ad := rowDotID(p, mEq, mEq+i, row, dir)
+			ad := ws.rowDotID(mEq, mEq+i, dir)
 			if ad <= featol {
 				continue
 			}
-			slack := p.Bin[i] - rowDotID(p, mEq, mEq+i, row, x)
+			slack := p.Bin[i] - ws.rowDotID(mEq, mEq+i, x)
 			if slack < 0 {
 				slack = 0
 			}
@@ -629,7 +689,7 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 				idx := pairIndex(workIDs[i], workIDs[j])
 				v := ws.schurV[idx]
 				if !ws.schurSet[idx] {
-					v = rowDotID(p, mEq, workIDs[i], workRows[i], z[j])
+					v = ws.rowDotID(mEq, workIDs[i], z[j])
 					ws.schurV[idx] = v
 					ws.schurSet[idx] = true
 				}
@@ -646,8 +706,8 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 	// S·λ = Aw·y.
 	ws.rhs = mat.GrowVec(ws.rhs, k)
 	rhs := ws.rhs
-	for i, row := range workRows {
-		rhs[i] = rowDotID(p, mEq, workIDs[i], row, y)
+	for i, id := range workIDs {
+		rhs[i] = ws.rowDotID(mEq, id, y)
 	}
 	ws.lamBuf = mat.GrowVec(ws.lamBuf, k)
 	lam = ws.lamBuf
@@ -670,7 +730,7 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 			if li == 0 {
 				continue
 			}
-			rowAxpyID(p, mEq, id, workRows[i], -li, acc)
+			ws.rowAxpyID(mEq, id, -li, acc)
 		}
 		if err := hs.SolveVecInto(dir, acc); err != nil {
 			return nil, nil, fmt.Errorf("qp: H solve: %w", err)
@@ -776,12 +836,19 @@ func sameIDs(a, b []int) bool {
 	return true
 }
 
+// nzEntry is one nonzero of a compressed Gram–Schmidt basis vector.
+type nzEntry struct {
+	col int
+	v   float64
+}
+
 // pruneEntry is one processed working-set row: its id and its orthonormal
-// contribution to the Gram–Schmidt basis (nil when the row stayed in the
-// working set without contributing, i.e. a dependent equality row).
+// contribution to the Gram–Schmidt basis, stored as its nonzeros in
+// ascending column order (nil when the row stayed in the working set
+// without contributing, i.e. a dependent equality row).
 type pruneEntry struct {
 	id  int
-	vec []float64
+	vec []nzEntry
 	// pruned records a dependent-row rejection. The entry holds no basis
 	// vector (vec is nil), so it never enters the orthogonalization; caching
 	// it lets a steady-state re-solve replay the rejection without redoing
@@ -810,6 +877,9 @@ type pruneEntry struct {
 type pruneState struct {
 	seqs [][]pruneEntry
 	call int
+	// r is residualOf's dense residual scratch, so a row that ends up
+	// pruned allocates nothing.
+	r []float64
 }
 
 // beginSolve rewinds the per-solve call counter so the first
@@ -846,11 +916,77 @@ func sharedPrefix(seq []pruneEntry, active []bool, mEq int) int {
 	return n
 }
 
+// residualOf orthogonalizes row (twice, for numerical robustness) against
+// the basis vectors of the entries in basis; it returns the nonzeros of the
+// normalized residual, or nil when the row is numerically dependent.
+//
+// The residual is dense scratch, but each dot product and each update
+// walks only one basis vector's nonzeros, and the result is bit for bit
+// the dense modified Gram–Schmidt's. A dense dot adds r[k]·v[k] = ±0
+// wherever v[k] is 0; the sum starts at +0 and adding ±0 never changes it
+// (round-to-nearest never turns a +0 sum into −0). A dense update
+// subtracts dot·0 = ±0 there, which leaves r[k] unchanged, and a zero dot
+// changes nothing at all, so it skips the update. The one exception is a
+// −0 in r, which only a row given with −0 entries carries: the dense
+// update may flip it to +0. Either sign is a zero that every later dot,
+// the norm and the compression ignore, so no decision and no stored bit
+// moves.
+func (ps *pruneState) residualOf(row []float64, basis []pruneEntry) []nzEntry {
+	norm0 := mat.NormVec(row)
+	//lint:ignore floateq an exactly-zero row has no direction and must be rejected
+	if norm0 == 0 {
+		return nil
+	}
+	ps.r = mat.GrowVec(ps.r, len(row))
+	r := ps.r
+	copy(r, row)
+	for pass := 0; pass < 2; pass++ {
+		for _, e := range basis {
+			var dot float64
+			for _, nz := range e.vec {
+				dot += r[nz.col] * nz.v
+			}
+			//lint:ignore floateq only an exact zero skips: subtracting 0·v leaves r unchanged
+			if dot == 0 {
+				continue
+			}
+			for _, nz := range e.vec {
+				r[nz.col] -= dot * nz.v
+			}
+		}
+	}
+	nr := mat.NormVec(r)
+	if nr <= 1e-10*norm0 {
+		return nil
+	}
+	inv := 1 / nr
+	nnz := 0
+	for k := range r {
+		r[k] *= inv
+		//lint:ignore floateq the compressed vector keeps exactly the nonzero entries
+		if r[k] != 0 {
+			nnz++
+		}
+	}
+	//lint:ignore hotalloc cache miss: the kept vector outlives the call inside the cache; steady-state re-solves replay it
+	vec := make([]nzEntry, nnz)
+	i := 0
+	for k, v := range r {
+		//lint:ignore floateq the compressed vector keeps exactly the nonzero entries
+		if v != 0 {
+			vec[i] = nzEntry{col: k, v: v}
+			i++
+		}
+	}
+	return vec
+}
+
 // pruneDependent removes active inequality constraints whose normals are
 // linearly dependent with the equality rows and earlier active rows, keeping
 // the KKT system nonsingular. Independence is tested by incremental
-// modified Gram–Schmidt; with a warm pruneState only the rows at and after
-// the first working-set change are re-orthogonalized.
+// modified Gram–Schmidt over compressed basis vectors (residualOf); with a
+// warm pruneState only the rows at and after the first working-set change
+// are re-orthogonalized.
 func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pruneState) {
 	if ps.call >= len(ps.seqs) {
 		//lint:ignore hotalloc grow-only cache: one sequence per call index, then reused
@@ -865,38 +1001,6 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 		}
 	}
 	pos := 0
-	// residualOf orthogonalizes row (twice, for numerical robustness)
-	// against the accepted basis prefix; it returns the normalized residual,
-	// or nil when the row is numerically dependent.
-	residualOf := func(row []float64) []float64 {
-		norm0 := mat.NormVec(row)
-		//lint:ignore floateq an exactly-zero row has no direction and must be rejected
-		if norm0 == 0 {
-			return nil
-		}
-		//lint:ignore hotalloc cache miss: steady-state re-solves replay cached decisions instead
-		r := append([]float64{}, row...)
-		for pass := 0; pass < 2; pass++ {
-			for _, e := range entries[:pos] {
-				if e.vec == nil {
-					continue
-				}
-				dot := mat.Dot(r, e.vec)
-				for k := range r {
-					r[k] -= dot * e.vec[k]
-				}
-			}
-		}
-		nr := mat.NormVec(r)
-		if nr <= 1e-10*norm0 {
-			return nil
-		}
-		inv := 1 / nr
-		for k := range r {
-			r[k] *= inv
-		}
-		return r
-	}
 	// process advances the cached prefix through one candidate row and
 	// reports whether the row stays in the working set.
 	process := func(id int, row []float64, keepDependent bool) bool {
@@ -907,7 +1011,7 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 			pos++
 			return kept
 		}
-		vec := residualOf(row)
+		vec := ps.residualOf(row, entries[:pos])
 		pruned := vec == nil && !keepDependent
 		entries = append(entries[:pos], pruneEntry{id: id, vec: vec, pruned: pruned})
 		pos++
@@ -971,13 +1075,13 @@ func (ws *Workspace) objective(p *Problem, x []float64) float64 {
 func (ws *Workspace) feasible(p *Problem, x []float64, tol float64) bool {
 	aeqRows, ainRows := ws.rows(p)
 	mEq := len(aeqRows)
-	for i, row := range aeqRows {
-		if math.Abs(rowDotID(p, mEq, i, row, x)-p.Beq[i]) > tol {
+	for i := range aeqRows {
+		if math.Abs(ws.rowDotID(mEq, i, x)-p.Beq[i]) > tol {
 			return false
 		}
 	}
-	for i, row := range ainRows {
-		if rowDotID(p, mEq, mEq+i, row, x) > p.Bin[i]+tol {
+	for i := range ainRows {
+		if ws.rowDotID(mEq, mEq+i, x) > p.Bin[i]+tol {
 			return false
 		}
 	}

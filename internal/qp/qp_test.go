@@ -2,8 +2,10 @@ package qp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +39,93 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want ErrBadProblem", err)
 			}
 		})
+	}
+}
+
+// TestSolveRejectsNonFinite pins the data checks of Validate: a NaN or ±Inf
+// in q, beq, bin or X0 is ErrBadProblem naming the vector and the index,
+// through Solve and through SolveLSWith (with and without a cached form),
+// where a bad residual d reaches q. Without the check such a solve returned
+// a wrong or NaN x with a nil error.
+func TestSolveRejectsNonFinite(t *testing.T) {
+	// min ½‖x‖² − x₁ − x₂ s.t. x₁ + x₂ = 1, x ≤ 1, from the feasible
+	// [0.5 0.5], which is also the minimizer. As a least-squares problem:
+	// M = I, d = [0.5 0.5], wr = 1.
+	problem := func() *Problem {
+		return &Problem{
+			H: mat.Identity(2), Q: []float64{-1, -1},
+			Aeq: mat.MustNew(1, 2, []float64{1, 1}), Beq: []float64{1},
+			Ain: mat.Identity(2), Bin: []float64{1, 1},
+			X0: []float64{0.5, 0.5},
+		}
+	}
+	form, err := NewLSForm(mat.Identity(2), nil, []float64{1, 1})
+	if err != nil {
+		t.Fatalf("NewLSForm: %v", err)
+	}
+	lsProblem := func() *LSProblem {
+		return &LSProblem{
+			M: form.m, D: []float64{0.5, 0.5}, Wr: []float64{1, 1},
+			Aeq: mat.MustNew(1, 2, []float64{1, 1}), Beq: []float64{1},
+			Ain: mat.Identity(2), Bin: []float64{1, 1},
+			X0: []float64{0.5, 0.5},
+		}
+	}
+	if res := solveOK(t, problem()); res.X[0] != 0.5 || res.X[1] != 0.5 {
+		t.Fatalf("finite problem: X = %v, want [0.5 0.5]", res.X)
+	}
+	for _, f := range []*LSForm{nil, form} {
+		if res, err := SolveLSWith(lsProblem(), f, nil); err != nil || res.X[0] != 0.5 || res.X[1] != 0.5 {
+			t.Fatalf("finite LS problem (form %t): X = %v, err = %v, want [0.5 0.5]", f != nil, res, err)
+		}
+	}
+
+	wantErr := func(t *testing.T, err error, name string) {
+		t.Helper()
+		if !errors.Is(err, ErrBadProblem) {
+			t.Fatalf("err = %v, want ErrBadProblem", err)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("err = %q, want it to name %s", err, name)
+		}
+	}
+	fields := []struct {
+		name   string // as Validate names it
+		lsName string // the LSProblem field that feeds it
+		vec    func(*Problem) []float64
+		lsVec  func(*LSProblem) []float64
+	}{
+		{"Q", "D", func(p *Problem) []float64 { return p.Q }, func(l *LSProblem) []float64 { return l.D }},
+		{"Beq", "Beq", func(p *Problem) []float64 { return p.Beq }, func(l *LSProblem) []float64 { return l.Beq }},
+		{"Bin", "Bin", func(p *Problem) []float64 { return p.Bin }, func(l *LSProblem) []float64 { return l.Bin }},
+		{"X0", "X0", func(p *Problem) []float64 { return p.X0 }, func(l *LSProblem) []float64 { return l.X0 }},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, fd := range fields {
+			for i := range fd.vec(problem()) {
+				name := fmt.Sprintf("%s[%d]", fd.name, i)
+				lsWant := name
+				if fd.lsName != fd.name {
+					// q = −2·Mᵀd: the dense product also carries 0·NaN = NaN
+					// and 0·Inf = NaN into the other entries of q.
+					lsWant = fd.name + "["
+				}
+				t.Run(fmt.Sprintf("Solve/%s=%v", name, v), func(t *testing.T) {
+					p := problem()
+					fd.vec(p)[i] = v
+					_, err := Solve(p)
+					wantErr(t, err, name)
+				})
+				for _, f := range []*LSForm{nil, form} {
+					t.Run(fmt.Sprintf("SolveLSWith/form=%t/%s[%d]=%v", f != nil, fd.lsName, i, v), func(t *testing.T) {
+						l := lsProblem()
+						fd.lsVec(l)[i] = v
+						_, err := SolveLSWith(l, f, NewWorkspace())
+						wantErr(t, err, lsWant)
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -195,36 +195,3 @@ func (p *Problem) dim() int {
 	}
 	return p.H.Rows()
 }
-
-// rowDotID computes the dot product of constraint row id (equalities first,
-// then inequalities) with x, through the sparse rows when the problem
-// carries them. Sparse and dense dots are bit-identical for finite inputs:
-// the skipped entries are exact zeros contributing exact zeros in the same
-// accumulation positions.
-func rowDotID(p *Problem, mEq, id int, row, x []float64) float64 {
-	if id < mEq {
-		if p.AeqSparse != nil {
-			return p.AeqSparse.RowDot(id, x)
-		}
-	} else if p.AinSparse != nil {
-		return p.AinSparse.RowDot(id-mEq, x)
-	}
-	return mat.Dot(row, x)
-}
-
-// rowAxpyID accumulates dst += a·(constraint row id), touching only the
-// row's nonzeros when the problem carries sparse rows.
-func rowAxpyID(p *Problem, mEq, id int, row []float64, a float64, dst []float64) {
-	if id < mEq {
-		if p.AeqSparse != nil {
-			p.AeqSparse.AddScaledRowInto(dst, id, a)
-			return
-		}
-	} else if p.AinSparse != nil {
-		p.AinSparse.AddScaledRowInto(dst, id-mEq, a)
-		return
-	}
-	for t, v := range row {
-		dst[t] += a * v
-	}
-}
