@@ -29,9 +29,10 @@
 #                  repeats or drifts from the $(BENCH_REF) snapshot (results
 #                  must be bit-identical across PRs; only timings may move)
 #                  or if a pinned hot benchmark (MPCStep, warm LP, the
-#                  solver scaling points) regresses in ns/op vs the snapshot
-#                  after normalizing out machine drift via the frozen Expm
-#                  calibration bench (its median over the repeats), or if
+#                  GridC8N6 closed loop, the solver scaling points)
+#                  regresses in ns/op vs the snapshot after normalizing out
+#                  machine drift via the frozen Expm calibration bench
+#                  (its median over the repeats), or if
 #                  the same-run ratio pin misses its floor: the structured
 #                  C50×N20 MPC step must keep its ≥5× edge over the
 #                  ForceDense control.

@@ -364,7 +364,7 @@ func BenchmarkQPActiveSet(b *testing.B) {
 		ain.Set(n+i, i, -1)
 		bin[n+i] = 1
 	}
-	p := &qp.Problem{H: h, Q: q, Ain: ain, Bin: bin, X0: make([]float64, n)}
+	p := &qp.Problem{H: h, Q: q, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qp.Solve(p); err != nil {

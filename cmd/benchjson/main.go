@@ -187,7 +187,9 @@ func readRef(gate, path string) (*Summary, error) {
 
 // perfPinned names the hot benchmarks whose ns/op is pinned against the
 // previous snapshot: the fast-loop MPC solve and the warm reference LP —
-// the two per-step paths with a real-time budget — plus the planet-scale
+// the two per-step paths with a real-time budget — the grid-c8n6 closed
+// loop (140 ticks at C8×N6, whose 144 QP variables run the blocked
+// Cholesky and the row-streaming back-solve), plus the planet-scale
 // solver-kernel benchmarks (the structured MPC step and the revised-simplex
 // scaling points), which exist precisely to keep the large-topology story
 // honest. Everything else is tracked but not gated (cold paths and figure
@@ -195,6 +197,7 @@ func readRef(gate, path string) (*Summary, error) {
 var perfPinned = []string{
 	"MPCStep",
 	"ReferenceLP/Warm",
+	"GridC8N6",
 	"MPCStepScaling/C20xN10",
 	"MPCStepScaling/C50xN20",
 	"SimplexScaling/C50xN20",

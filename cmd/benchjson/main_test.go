@@ -21,6 +21,7 @@ BenchmarkMPCStepScalingDense/C50xN20-4 	       5	 210000000 ns/op	       0 B/op	
 BenchmarkSimplexScaling/C50xN20-4 	     200	   5000000 ns/op	    1024 B/op	      10 allocs/op
 BenchmarkSimplexScaling/C100xN20-4 	    100	  20000000 ns/op	    2048 B/op	      20 allocs/op
 BenchmarkFig4-4           	      10	 104948436 ns/op	 4.186e+07 checksum	      12 figs
+BenchmarkGridC8N6-4       	      20	  60000000 ns/op	      1795 MW-sum
 PASS
 ok  	repro	2.459s
 `
@@ -45,8 +46,8 @@ func TestParseAndEmit(t *testing.T) {
 	if sum.Goos != "linux" || sum.Pkg != "repro" {
 		t.Errorf("header fields = %q/%q, want linux/repro", sum.Goos, sum.Pkg)
 	}
-	if len(sum.Benchmarks) != 8 {
-		t.Fatalf("parsed %d benchmarks, want 8", len(sum.Benchmarks))
+	if len(sum.Benchmarks) != 9 {
+		t.Fatalf("parsed %d benchmarks, want 9", len(sum.Benchmarks))
 	}
 	mpc := sum.Benchmarks[0]
 	if mpc.Name != "MPCStep" || mpc.Iterations != 13701 {
@@ -337,6 +338,7 @@ BenchmarkMPCStepScaling/C20xN10-8 	     100	  14000000 ns/op
 BenchmarkMPCStepScaling/C50xN20-8 	      50	  21000000 ns/op
 BenchmarkSimplexScaling/C50xN20-8 	     200	   5000000 ns/op
 BenchmarkSimplexScaling/C100xN20-8 	    100	  20000000 ns/op
+BenchmarkGridC8N6-8 	      20	  60000000 ns/op
 PASS
 ok  	repro	2.459s
 `

@@ -52,6 +52,32 @@ type Result struct {
 	MarginalPrices []float64
 }
 
+// checkInputs is the input boundary every allocator shares: a topology, one
+// finite price per IDC and one finite, nonnegative demand per portal. A
+// finite negative price passes; each allocator floors it to 0.
+func checkInputs(top *idc.Topology, prices, demands []float64) error {
+	if top == nil {
+		return fmt.Errorf("nil topology: %w", ErrBadInput)
+	}
+	if len(prices) != top.N() {
+		return fmt.Errorf("%d prices for %d IDCs: %w", len(prices), top.N(), ErrBadInput)
+	}
+	if len(demands) != top.C() {
+		return fmt.Errorf("%d demands for %d portals: %w", len(demands), top.C(), ErrBadInput)
+	}
+	for j, p := range prices {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return fmt.Errorf("price[%d] = %g: %w", j, p, ErrBadInput)
+		}
+	}
+	for i, d := range demands {
+		if !(d >= 0) || math.IsInf(d, 0) {
+			return fmt.Errorf("demand[%d] = %g: %w", i, d, ErrBadInput)
+		}
+	}
+	return nil
+}
+
 // Optimize solves eq. (46) for the given per-IDC prices ($/MWh) and portal
 // demands (req/s).
 func Optimize(top *idc.Topology, prices, demands []float64) (*Result, error) {
@@ -107,21 +133,10 @@ func (s *Solver) Reset() { s.lp.Reset() }
 // stateless cold path; otherwise the solve goes through the given warm-start
 // solver.
 func optimizeBudgets(top *idc.Topology, prices, demands, budgets []float64, solver *lp.Solver) (*Result, error) {
-	if top == nil {
-		return nil, fmt.Errorf("nil topology: %w", ErrBadInput)
+	if err := checkInputs(top, prices, demands); err != nil {
+		return nil, err
 	}
 	n, c := top.N(), top.C()
-	if len(prices) != n {
-		return nil, fmt.Errorf("%d prices for %d IDCs: %w", len(prices), n, ErrBadInput)
-	}
-	if len(demands) != c {
-		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), c, ErrBadInput)
-	}
-	for i, d := range demands {
-		if !(d >= 0) || math.IsInf(d, 0) {
-			return nil, fmt.Errorf("demand[%d] = %g: %w", i, d, ErrBadInput)
-		}
-	}
 	if budgets != nil && len(budgets) != n {
 		return nil, fmt.Errorf("%d budgets for %d IDCs: %w", len(budgets), n, ErrBadInput)
 	}
@@ -267,16 +282,10 @@ func finish(top *idc.Topology, prices []float64, allocation *idc.Allocation, ser
 // each IDC's cost is linear in its load once m_j sits on the latency
 // boundary. It serves as an independent oracle for Optimize.
 func Greedy(top *idc.Topology, prices, demands []float64) (*Result, error) {
-	if top == nil {
-		return nil, fmt.Errorf("nil topology: %w", ErrBadInput)
+	if err := checkInputs(top, prices, demands); err != nil {
+		return nil, err
 	}
 	n, c := top.N(), top.C()
-	if len(prices) != n {
-		return nil, fmt.Errorf("%d prices for %d IDCs: %w", len(prices), n, ErrBadInput)
-	}
-	if len(demands) != c {
-		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), c, ErrBadInput)
-	}
 	if !top.Feasible(demands) {
 		return nil, ErrInfeasible
 	}
@@ -348,16 +357,10 @@ func sum(xs []float64) float64 {
 // paper's Figs. 4–7 exactly (see EXPERIMENTS.md), so it is the faithful
 // baseline for the reproduction experiments. Use Optimize for the true LP.
 func PriceOrdered(top *idc.Topology, prices, demands []float64) (*Result, error) {
-	if top == nil {
-		return nil, fmt.Errorf("nil topology: %w", ErrBadInput)
+	if err := checkInputs(top, prices, demands); err != nil {
+		return nil, err
 	}
 	n, c := top.N(), top.C()
-	if len(prices) != n {
-		return nil, fmt.Errorf("%d prices for %d IDCs: %w", len(prices), n, ErrBadInput)
-	}
-	if len(demands) != c {
-		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), c, ErrBadInput)
-	}
 	order := make([]int, n)
 	for j := range order {
 		order[j] = j

@@ -37,9 +37,12 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-// TestNonFiniteInputsRejected pins the input boundary: a NaN or infinite
-// demand or budget is ErrBadInput, never ErrInfeasible or a panic (a NaN
-// budget is neither > 0 nor <= 0, which breaks the budget-row count).
+// TestNonFiniteInputsRejected pins the input boundary every allocator
+// shares: a NaN or ±Inf price, a NaN, ±Inf or negative demand, and a NaN or
+// ±Inf budget are ErrBadInput — never ErrInfeasible, a NaN or infinite
+// cost, a nil error or a panic (a NaN budget is neither > 0 nor <= 0, which
+// breaks the budget-row count). A finite negative price is not an input
+// error: every allocator floors it to 0.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	top := idc.PaperTopology()
 	nan, inf := math.NaN(), math.Inf(1)
@@ -54,6 +57,48 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := OptimizeWithBudgets(top, prices7H(), tc.demands, tc.budgets); !errors.Is(err, ErrBadInput) {
 				t.Fatalf("err = %v, want ErrBadInput", err)
+			}
+		})
+	}
+
+	solvers := []struct {
+		name  string
+		solve func(top *idc.Topology, prices, demands []float64) (*Result, error)
+	}{
+		{"Optimize", Optimize},
+		{"OptimizeWithBudgets", func(top *idc.Topology, prices, demands []float64) (*Result, error) {
+			return OptimizeWithBudgets(top, prices, demands, []float64{1e9, 1e9, 1e9})
+		}},
+		{"Greedy", Greedy},
+		{"PriceOrdered", PriceOrdered},
+	}
+	inputs := []struct {
+		name            string
+		prices, demands []float64
+	}{
+		{"NaN price", []float64{nan, 30, 20}, workload.TableI()},
+		{"+Inf price", []float64{40, inf, 20}, workload.TableI()},
+		{"-Inf price", []float64{40, 30, -inf}, workload.TableI()},
+		{"NaN demand", prices7H(), []float64{nan, 0, 0, 0, 0}},
+		{"+Inf demand", prices7H(), []float64{inf, 0, 0, 0, 0}},
+		{"-Inf demand", prices7H(), []float64{-inf, 0, 0, 0, 0}},
+		{"negative demand", prices7H(), []float64{0, -1, 0, 0, 0}},
+	}
+	for _, s := range solvers {
+		for _, in := range inputs {
+			t.Run(s.name+"/"+in.name, func(t *testing.T) {
+				if _, err := s.solve(top, in.prices, in.demands); !errors.Is(err, ErrBadInput) {
+					t.Fatalf("err = %v, want ErrBadInput", err)
+				}
+			})
+		}
+		t.Run(s.name+"/negative price floored", func(t *testing.T) {
+			res, err := s.solve(top, []float64{-5, 30, 20}, workload.TableI())
+			if err != nil {
+				t.Fatalf("err = %v, want a solve", err)
+			}
+			if !(res.CostRate >= 0) || math.IsInf(res.CostRate, 0) {
+				t.Fatalf("cost rate %g, want finite and nonnegative", res.CostRate)
 			}
 		})
 	}

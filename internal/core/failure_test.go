@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ctrl"
@@ -119,6 +122,47 @@ func TestCostWeightTrackingMode(t *testing.T) {
 	ref := telsP[len(telsP)-1].CostRate
 	if rel := math.Abs(last.CostRate-ref) / ref; rel > 0.1 {
 		t.Fatalf("cost-weight mode rate %g vs power mode %g (rel %.3f)", last.CostRate, ref, rel)
+	}
+}
+
+// costWeightBits is the FNV-64a hash of TestCostWeightTrackingBitsUnchanged,
+// recorded on amd64 at commit 91a26e4, before the QP's dense-KKT fallback
+// filled its KKT matrix from compressed constraint rows.
+const costWeightBits = 0x81bb4b69dd263940
+
+// TestCostWeightTrackingBitsUnchanged pins the CostWeight-only loop of
+// TestCostWeightTrackingMode, the one closed loop that reaches the QP's
+// iteration-limit retry: one solve stalls on the Schur path and its retry
+// takes 18 iterations on the dense-KKT fallback. The hash covers every
+// step's QP iteration count and the bits of U, so a changed KKT matrix,
+// pivot or result bit changes it.
+func TestCostWeightTrackingBitsUnchanged(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds, which changes the
+		// rounding the recorded hash captures.
+		t.Skipf("hash recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	cfg := baseConfig()
+	cfg.StartHour = 6
+	cfg.SlowEvery = 4
+	cfg.MPC = ctrl.MPCConfig{CostWeight: 1, PowerWeight: 1e-6, SmoothWeight: 2}
+	sum := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		sum.Write(buf[:])
+	}
+	iters := 0
+	for _, tel := range runScenario(t, cfg, 40) {
+		iters += tel.QPIterations
+		put(uint64(tel.QPIterations))
+		for _, v := range tel.U {
+			put(math.Float64bits(v))
+		}
+	}
+	if got := sum.Sum64(); got != costWeightBits {
+		t.Errorf("CostWeight-only hash %#x (%d QP iterations), want %#x: the KKT matrix, a pivot or a result bit changed",
+			got, iters, uint64(costWeightBits))
 	}
 }
 

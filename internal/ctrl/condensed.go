@@ -7,25 +7,23 @@ import (
 )
 
 // constraints is the structural part of (43)–(45): the 0/1 conservation
-// and latency matrices H and Ψ, their block-stacked horizon versions and
-// those in compressed-row form. Demands, server counts and U(k−1) only
-// enter the right-hand sides, which Step rebuilds every call, so all of
-// this depends on (C, N, β2) alone, never on the model. An MPC builds it
-// when it first sees a topology and shares it, read-only, across the
-// condensed caches of every model after that.
+// and latency matrices H and Ψ and their block-stacked horizon versions.
+// Demands, server counts and U(k−1) only enter the right-hand sides, which
+// Step rebuilds every call, so all of this depends on (C, N, β2) alone,
+// never on the model. An MPC builds it when it first sees a topology and
+// shares it, read-only, across the condensed caches of every model after
+// that.
 type constraints struct {
 	c, n  int
 	consH *mat.Dense
 	psi   *mat.Dense
-	aeq   *mat.Dense
-	ain   *mat.Dense
-	// aeqS/ainS are aeq/ain compressed. Of the nu·β2 columns, a step-s
-	// conservation row touches N·(s+1), a latency row C·(s+1) and a
-	// nonnegativity row s+1, so every row dot of the solver and of
-	// pointFeasible drops to O(nnz). The dots are bit-identical to the
+	// aeq/ain are the stacked rows in compressed form. Of the nu·β2
+	// columns, a step-s conservation row touches N·(s+1), a latency row
+	// C·(s+1) and a nonnegativity row s+1, so every row dot of the solver
+	// and of pointFeasible is O(nnz). The dots are bit-identical to the
 	// dense ones (mat.SparseRows).
-	aeqS *mat.SparseRows
-	ainS *mat.SparseRows
+	aeq *mat.SparseRows
+	ain *mat.SparseRows
 }
 
 // newConstraints builds the constraint structure of top over a control
@@ -51,10 +49,8 @@ func newConstraints(top *idc.Topology, b2 int) *constraints {
 		c: c, n: n,
 		consH: consH,
 		psi:   psi,
-		aeq:   aeq,
-		ain:   ain,
-		aeqS:  mat.SparseRowsFrom(aeq),
-		ainS:  mat.SparseRowsFrom(ain),
+		aeq:   mat.SparseRowsFrom(aeq),
+		ain:   mat.SparseRowsFrom(ain),
 	}
 }
 

@@ -357,7 +357,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		M: cd.theta, D: d, Wq: cd.wq, Wr: cd.wr,
 		Aeq: cd.cons.aeq, Beq: beq,
 		Ain: cd.cons.ain, Bin: bin,
-		AeqSparse: cd.cons.aeqS, AinSparse: cd.cons.ainS,
 		X0: m.warmStart(nu, b2, cd, beq, bin),
 	}
 	res, err := qp.SolveLSWith(&sc.ls, cd.form, cd.ws)
@@ -439,14 +438,14 @@ func (m *MPC) warmStart(nu, b2 int, cd *condensed, beq, bin []float64) []float64
 
 // pointFeasible checks Aeq·z = beq and Ain·z ≤ bin within tolerance,
 // through the compressed constraint rows (the products are bit-identical
-// to the dense ones; only the dropped exact-zero terms differ).
+// to the dense ones).
 func (m *MPC) pointFeasible(z []float64, cd *condensed, beq, bin []float64) bool {
 	const tol = 1e-7
 	sc := &m.sc
 	cons := cd.cons
-	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.aeqS.Rows())
+	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.aeq.Rows())
 	v := sc.feasBuf
-	if err := cons.aeqS.MulVecInto(v, z); err != nil {
+	if err := cons.aeq.MulVecInto(v, z); err != nil {
 		return false
 	}
 	// The row tolerance is loop-invariant: hoisting the norm out of the
@@ -458,9 +457,9 @@ func (m *MPC) pointFeasible(z []float64, cd *condensed, beq, bin []float64) bool
 			return false
 		}
 	}
-	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.ainS.Rows())
+	sc.feasBuf = mat.GrowVec(sc.feasBuf, cons.ain.Rows())
 	v = sc.feasBuf
-	if err := cons.ainS.MulVecInto(v, z); err != nil {
+	if err := cons.ain.MulVecInto(v, z); err != nil {
 		return false
 	}
 	// Same hoist as the equality rows: one norm, identical decisions.

@@ -28,12 +28,15 @@ import (
 // chain — a back solve that preserves the naive order must either walk the
 // row-major factor by column (the stride-n access the switch exists to
 // avoid) or keep a transposed copy of every cached factor. Results above
-// the threshold agree with the naive sweep only to rounding; every
-// checksummed paper-scale artifact stays far below it.
+// the threshold agree with the naive sweep only to rounding. The
+// paper-scale checksums stay far below it; the C8×N6 grid checksums
+// (BenchmarkGridC8N6, TestMPCGridBitsUnchanged) sit above it and record
+// the saxpy order's bits.
 //
 // Thresholds are chosen so every paper-scale problem (tens of variables)
-// stays on the naive path untouched; only the C20×N10-and-up scaling
-// topologies reach the blocked code.
+// stays on the naive path untouched. The C8×N6 grid's 144-variable QP
+// runs the blocked Cholesky and the row-streaming back-solve; the blocked
+// MulInto and LU take the C20×N10-and-up scaling topologies.
 
 const (
 	// blockedMulMinFlops dispatches MulInto to the blocked kernel when

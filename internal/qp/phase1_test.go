@@ -52,7 +52,7 @@ func TestPhase1StartBitsUnchanged(t *testing.T) {
 				p.Beq[s*c+i] = (r.Float64() - 0.4) * load
 			}
 		}
-		if ws.feasible(p, p.X0, featol) {
+		if p.feasible(p.X0, featol) {
 			t.Fatalf("trial %d: the zero start is feasible; the solve would skip phase 1", trial)
 		}
 		res, err := SolveWith(p, ws)

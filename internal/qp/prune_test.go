@@ -104,6 +104,7 @@ func TestPruneDependentMatchesDenseReference(t *testing.T) {
 	for i := range ainRows {
 		ainRows[i] = ain.RowView(i)
 	}
+	aeqS, ainS := mat.SparseRowsFrom(aeq), mat.SparseRowsFrom(ain)
 
 	// randomMask draws a sparse working set and sometimes adds a forced
 	// dependent set.
@@ -142,7 +143,7 @@ func TestPruneDependentMatchesDenseReference(t *testing.T) {
 		for k := r.Intn(6) + 1; k > 0; k-- {
 			want := append([]bool(nil), active...)
 			ref := densePruneReference(aeqRows, ainRows, want, mEq)
-			pruneDependent(aeqRows, ainRows, active, mEq, &ps)
+			pruneDependent(aeqS, ainS, active, mEq, &ps)
 			calls++
 			for i := range want {
 				if active[i] != want[i] {

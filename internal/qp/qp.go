@@ -49,29 +49,24 @@ var (
 )
 
 // Problem is a convex QP. Aeq/Ain groups may be nil.
+//
+// The constraint matrices are compressed rows (mat.SparseRowsFrom builds
+// them from dense ones). Every row dot product and row update of the solver
+// walks a row's nonzeros, O(nnz) instead of O(n); the few steps that need a
+// full row (Gram–Schmidt pruning, the H⁻¹aᵢ solves, the dense KKT fallback
+// and the phase-1 LP) scatter it. Both are bit-identical to the dense
+// arithmetic for finite vectors (see rowDot).
 type Problem struct {
 	// H is the n-by-n symmetric positive definite Hessian.
 	H *mat.Dense
 	// Q is the linear term q (length n).
 	Q []float64
 	// Aeq, Beq define equality constraints.
-	Aeq *mat.Dense
+	Aeq *mat.SparseRows
 	Beq []float64
 	// Ain, Bin define inequality constraints Ain·x ≤ bin.
-	Ain *mat.Dense
+	Ain *mat.SparseRows
 	Bin []float64
-	// AeqSparse/AinSparse optionally carry the same constraint matrices in
-	// compressed-row form. When set they must match Aeq/Ain value for value.
-	// Every row dot product and row update of the solver (initial active-set
-	// detection, feasibility check, line search, Schur assembly and
-	// right-hand sides) walks compressed rows — bit-identical to the dense
-	// dots, O(nnz) instead of O(n) per row. When these are nil the workspace
-	// compresses Aeq/Ain itself, once per workspace; a caller that builds
-	// many workspaces over one constraint structure supplies them to skip
-	// that. The dense matrices are still required (Gram–Schmidt pruning and
-	// the H⁻¹aᵢ solves read full rows).
-	AeqSparse *mat.SparseRows
-	AinSparse *mat.SparseRows
 	// X0 is an optional feasible starting point. When nil a phase-1 LP is
 	// solved to find one.
 	X0 []float64
@@ -107,11 +102,11 @@ const (
 // Everything cached here is a value some cold solve computed (or would
 // compute) with identical arithmetic: the Cholesky factor of H, the
 // H⁻¹aᵢ constraint columns, the Schur products aᵢᵀH⁻¹aⱼ and the factorized
-// Schur complements per working set, the Gram–Schmidt prune prefix and the
-// materialized constraint rows. Reuse therefore cannot change a solution
-// bit; it only skips recomputation. Exception: in structured mode the
-// lastActive working-set hint shortens the iteration path, so a warm
-// structured solve agrees with a cold one only to rounding.
+// Schur complements per working set, and the Gram–Schmidt prune prefix.
+// Reuse therefore cannot change a solution bit; it only skips
+// recomputation. Exception: in structured mode the lastActive working-set
+// hint shortens the iteration path, so a warm structured solve agrees with
+// a cold one only to rounding.
 //
 // The replay caches stay bounded over a long-lived workspace:
 //   - the per-call-index prune sequences and Schur factors keep only what
@@ -173,10 +168,6 @@ type Workspace struct {
 	lastActiveOK bool
 	// prune is the incremental Gram–Schmidt state of pruneDependent.
 	prune pruneState
-	// aeqRows/ainRows are views of the dense constraint rows, filled lazily;
-	// aeqS/ainS are the same rows compressed (see rows).
-	aeqRows, ainRows [][]float64
-	aeqS, ainS       *mat.SparseRows
 
 	// Grow-only scratch. Once every buffer has reached the problem's steady
 	// size, a SolveWith call that stays on the cached Schur path performs no
@@ -189,7 +180,7 @@ type Workspace struct {
 	rhs, lamBuf []float64 // Schur system rhs / multipliers
 	hxBuf       []float64 // objective evaluation
 	wd, q       []float64 // LS lowering: weighted residual, linear term
-	workRows    [][]float64
+	aRow        []float64 // one constraint row scattered for an H⁻¹aᵢ solve
 	zrows       [][]float64
 	workIDs     []int
 	activeBuf   []bool
@@ -221,61 +212,26 @@ func (ws *Workspace) SetInstruments(in Instruments) { ws.instr = in }
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// rows materializes (and caches) the constraint rows of p in two forms:
-// views into the dense matrices — no copies, so planet-scale row sets cost
-// pointers only — and compressed rows, taken from p.AeqSparse/AinSparse or
-// else built from Aeq/Ain once. Both are safe to keep under the workspace
-// contract: Aeq/Ain are fixed for the workspace's lifetime and the solver
-// never writes through a row.
-func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
-	if ws.aeqRows == nil && p.Aeq != nil {
-		//lint:ignore hotalloc one-time row-cache fill; every later solve reuses the rows
-		ws.aeqRows = make([][]float64, p.Aeq.Rows())
-		for i := range ws.aeqRows {
-			ws.aeqRows[i] = p.Aeq.RowView(i)
-		}
-		ws.aeqS = p.AeqSparse
-		if ws.aeqS == nil {
-			//lint:ignore hotalloc one-time row compression; every later solve reuses it
-			ws.aeqS = mat.SparseRowsFrom(p.Aeq)
-		}
+// row returns the matrix holding constraint row id (equalities 0…mEq−1,
+// then inequalities) and the row's index in it.
+func (p *Problem) row(mEq, id int) (*mat.SparseRows, int) {
+	if id < mEq {
+		return p.Aeq, id
 	}
-	if ws.ainRows == nil && p.Ain != nil {
-		//lint:ignore hotalloc one-time row-cache fill; every later solve reuses the rows
-		ws.ainRows = make([][]float64, p.Ain.Rows())
-		for i := range ws.ainRows {
-			ws.ainRows[i] = p.Ain.RowView(i)
-		}
-		ws.ainS = p.AinSparse
-		if ws.ainS == nil {
-			//lint:ignore hotalloc one-time row compression; every later solve reuses it
-			ws.ainS = mat.SparseRowsFrom(p.Ain)
-		}
-	}
-	return ws.aeqRows, ws.ainRows
+	return p.Ain, id - mEq
 }
 
-// rowDotID computes the dot product of constraint row id (equalities first,
-// then inequalities) with x over the row's compressed nonzeros. It is
-// bit-identical to the dense row dot for finite x: each skipped term is an
-// exact ±0, and adding ±0 never changes a running sum that starts at +0.
-// (A dense dot would turn 0·NaN or 0·Inf into NaN; Validate's finiteness
-// checks keep such values out of the solver's vectors.)
-func (ws *Workspace) rowDotID(mEq, id int, x []float64) float64 {
-	if id < mEq {
-		return ws.aeqS.RowDot(id, x)
-	}
-	return ws.ainS.RowDot(id-mEq, x)
-}
-
-// rowAxpyID accumulates dst += a·(constraint row id) over the row's
-// compressed nonzeros.
-func (ws *Workspace) rowAxpyID(mEq, id int, a float64, dst []float64) {
-	if id < mEq {
-		ws.aeqS.AddScaledRowInto(dst, id, a)
-		return
-	}
-	ws.ainS.AddScaledRowInto(dst, id-mEq, a)
+// rowDot computes the dot product of constraint row id with x over the
+// row's nonzeros. It is bit-identical to the dense row dot for finite x:
+// each skipped term is an exact ±0, and adding ±0 never changes a running
+// sum that starts at +0. (A dense dot would turn 0·NaN or 0·Inf into NaN;
+// Validate's finiteness checks keep such values out of the solver's
+// vectors.) A row scattered into zeroed scratch is likewise the dense row
+// bit for bit whenever the dense row's zeros are +0, as every row built
+// with mat.Zeros and Set is.
+func (p *Problem) rowDot(mEq, id int, x []float64) float64 {
+	a, i := p.row(mEq, id)
+	return a.RowDot(i, x)
 }
 
 // Validate checks dimensional consistency and that every data vector
@@ -296,20 +252,23 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("Hessian %dx%d not square: %w", p.H.Rows(), p.H.Cols(), ErrBadProblem)
 		}
 	}
-	if p.AeqSparse != nil && (p.Aeq == nil || p.AeqSparse.Rows() != p.Aeq.Rows() || p.AeqSparse.Cols() != p.Aeq.Cols()) {
-		return fmt.Errorf("AeqSparse does not match Aeq: %w", ErrBadProblem)
-	}
-	if p.AinSparse != nil && (p.Ain == nil || p.AinSparse.Rows() != p.Ain.Rows() || p.AinSparse.Cols() != p.Ain.Cols()) {
-		return fmt.Errorf("AinSparse does not match Ain: %w", ErrBadProblem)
-	}
 	if len(p.Q) != n {
 		return fmt.Errorf("q has length %d, want %d: %w", len(p.Q), n, ErrBadProblem)
 	}
-	if p.Aeq != nil && (p.Aeq.Cols() != n || p.Aeq.Rows() != len(p.Beq)) {
-		return fmt.Errorf("Aeq %dx%d with Beq %d: %w", p.Aeq.Rows(), p.Aeq.Cols(), len(p.Beq), ErrBadProblem)
+	// A right-hand side without its matrix would be silently ignored.
+	if p.Aeq != nil {
+		if p.Aeq.Cols() != n || p.Aeq.Rows() != len(p.Beq) {
+			return fmt.Errorf("Aeq %dx%d with Beq %d: %w", p.Aeq.Rows(), p.Aeq.Cols(), len(p.Beq), ErrBadProblem)
+		}
+	} else if len(p.Beq) != 0 {
+		return fmt.Errorf("Beq without Aeq: %w", ErrBadProblem)
 	}
-	if p.Ain != nil && (p.Ain.Cols() != n || p.Ain.Rows() != len(p.Bin)) {
-		return fmt.Errorf("Ain %dx%d with Bin %d: %w", p.Ain.Rows(), p.Ain.Cols(), len(p.Bin), ErrBadProblem)
+	if p.Ain != nil {
+		if p.Ain.Cols() != n || p.Ain.Rows() != len(p.Bin) {
+			return fmt.Errorf("Ain %dx%d with Bin %d: %w", p.Ain.Rows(), p.Ain.Cols(), len(p.Bin), ErrBadProblem)
+		}
+	} else if len(p.Bin) != 0 {
+		return fmt.Errorf("Bin without Ain: %w", ErrBadProblem)
 	}
 	if p.X0 != nil && len(p.X0) != n {
 		return fmt.Errorf("X0 has length %d, want %d: %w", len(p.X0), n, ErrBadProblem)
@@ -379,7 +338,7 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 	}
 	if p.X0 != nil {
 		copy(x, p.X0)
-		if !ws.feasible(p, x, featol) {
+		if !p.feasible(x, featol) {
 			//lint:ignore hotalloc cold start: phase-1 LP runs only when the warm start is infeasible
 			fx, err := findFeasible(p)
 			if err != nil {
@@ -467,7 +426,6 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 	ws.xbuf = mat.GrowVec(ws.xbuf, len(x0))
 	x := ws.xbuf
 	copy(x, x0)
-	aeqRows, ainRows := ws.rows(p)
 
 	// Working set over inequality indices.
 	if cap(ws.activeBuf) < mIn {
@@ -481,18 +439,18 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 	useHint := p.form != nil && p.form.structured() &&
 		ws.lastActiveOK && len(ws.lastActive) == mIn
 	for i := 0; i < mIn; i++ {
-		if math.Abs(ws.rowDotID(mEq, mEq+i, x)-p.Bin[i]) <= featol {
+		if math.Abs(p.Ain.RowDot(i, x)-p.Bin[i]) <= featol {
 			active[i] = !useHint || ws.lastActive[i]
 		}
 	}
 	ws.prune.beginSolve()
 	ws.sfc.beginSolve()
-	pruneDependent(aeqRows, ainRows, active, mEq, &ws.prune)
+	pruneDependent(p.Aeq, p.Ain, active, mEq, &ws.prune)
 
 	maxIters := 100 + 20*(n+mEq+mIn)
 	fullSteps := 0
 	for iter := 0; iter < maxIters; iter++ {
-		dir, lam, err := kktStep(p, hs, ws, aeqRows, ainRows, x, active, mEq)
+		dir, lam, err := kktStep(p, hs, ws, x, active, mEq)
 		if err != nil {
 			// Degenerate working set: drop one active constraint and retry.
 			if dropAny(active) {
@@ -552,11 +510,11 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 			if active[i] {
 				continue
 			}
-			ad := ws.rowDotID(mEq, mEq+i, dir)
+			ad := p.Ain.RowDot(i, dir)
 			if ad <= featol {
 				continue
 			}
-			slack := p.Bin[i] - ws.rowDotID(mEq, mEq+i, x)
+			slack := p.Bin[i] - p.Ain.RowDot(i, x)
 			if slack < 0 {
 				slack = 0
 			}
@@ -570,7 +528,7 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 		}
 		if block >= 0 {
 			active[block] = true
-			pruneDependent(aeqRows, ainRows, active, mEq, &ws.prune)
+			pruneDependent(p.Aeq, p.Ain, active, mEq, &ws.prune)
 			fullSteps = 0
 		} else {
 			fullSteps++
@@ -589,25 +547,20 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 // factor or structured Woodbury form) the system is solved via the Schur
 // complement S = Aw·H⁻¹·Awᵀ (H is factored once per workspace, not per
 // iteration); otherwise a dense KKT factorization is used.
-func kktStep(p *Problem, hs hSolver, ws *Workspace, aeqRows, ainRows [][]float64, x []float64, active []bool, mEq int) (dir, lam []float64, err error) {
+func kktStep(p *Problem, hs hSolver, ws *Workspace, x []float64, active []bool, mEq int) (dir, lam []float64, err error) {
 	n := p.dim()
-	workRows := ws.workRows[:0]
 	workIDs := ws.workIDs[:0]
 	for i := 0; i < mEq; i++ {
-		//lint:ignore hotalloc grow-only scratch: backing arrays reach steady size, then reused
-		workRows = append(workRows, aeqRows[i])
-		//lint:ignore hotalloc grow-only scratch: backing arrays reach steady size, then reused
+		//lint:ignore hotalloc grow-only scratch: backing array reaches steady size, then reused
 		workIDs = append(workIDs, i)
 	}
 	for i, a := range active {
 		if a {
-			//lint:ignore hotalloc grow-only scratch: backing arrays reach steady size, then reused
-			workRows = append(workRows, ainRows[i])
-			//lint:ignore hotalloc grow-only scratch: backing arrays reach steady size, then reused
+			//lint:ignore hotalloc grow-only scratch: backing array reaches steady size, then reused
 			workIDs = append(workIDs, mEq+i)
 		}
 	}
-	ws.workRows, ws.workIDs = workRows, workIDs
+	ws.workIDs = workIDs
 	ws.grad = mat.GrowVec(ws.grad, n)
 	grad := ws.grad
 	if err := p.hMulVecInto(grad, x); err != nil {
@@ -618,7 +571,7 @@ func kktStep(p *Problem, hs hSolver, ws *Workspace, aeqRows, ainRows [][]float64
 	}
 
 	if hs != nil {
-		dir, lam, err = schurStep(p, hs, ws, workRows, workIDs, grad, n, mEq)
+		dir, lam, err = schurStep(p, hs, ws, workIDs, grad, n, mEq)
 		if err == nil {
 			return dir, lam, nil
 		}
@@ -631,12 +584,12 @@ func kktStep(p *Problem, hs hSolver, ws *Workspace, aeqRows, ainRows [][]float64
 		// Ill-conditioned Schur complement: fall through to the dense path.
 	}
 	//lint:ignore hotalloc dense fallback for semidefinite H; the Schur path is the steady state
-	return denseKKTStep(p, workRows, grad, n)
+	return denseKKTStep(p, workIDs, mEq, grad, n)
 }
 
 // schurStep solves the KKT system via the Schur complement of the cached
 // H⁻¹ apply (dense Cholesky factor or structured Woodbury form).
-func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, workIDs []int, grad []float64, n, mEq int) (dir, lam []float64, err error) {
+func schurStep(p *Problem, hs hSolver, ws *Workspace, workIDs []int, grad []float64, n, mEq int) (dir, lam []float64, err error) {
 	// y = −H⁻¹·grad is the unconstrained Newton step.
 	ws.negGrad = mat.GrowVec(ws.negGrad, n)
 	mat.ScaleVecInto(ws.negGrad, -1, grad)
@@ -645,30 +598,34 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 	if err := hs.SolveVecInto(y, ws.negGrad); err != nil {
 		return nil, nil, fmt.Errorf("qp: H solve: %w", err)
 	}
-	k := len(workRows)
+	k := len(workIDs)
 	if k == 0 {
 		return y, nil, nil
 	}
 	// Z = H⁻¹·Awᵀ column by column, cached per constraint id for the
 	// lifetime of the workspace (H does not change while it is valid).
 	// Cache misses allocate their vector — it must outlive the call inside
-	// the cache.
+	// the cache — and solve from the row scattered into scratch, since the
+	// Woodbury solve must not alias its input.
 	if cap(ws.zrows) < k {
 		//lint:ignore hotalloc grow-only scratch: allocates only until the steady size is reached
 		ws.zrows = make([][]float64, k)
 	}
 	z := ws.zrows[:k] // z[i] = H⁻¹·a_i
-	for i, row := range workRows {
-		if cached := ws.zByID[workIDs[i]]; cached != nil {
+	for i, id := range workIDs {
+		if cached := ws.zByID[id]; cached != nil {
 			z[i] = cached
 			continue
 		}
+		ws.aRow = mat.GrowVec(ws.aRow, n)
+		a, r := p.row(mEq, id)
+		a.ScatterRowInto(ws.aRow, r)
 		//lint:ignore hotalloc cache miss: the vector must outlive the call inside the cache
 		zi := make([]float64, n)
-		if err := hs.SolveVecInto(zi, row); err != nil {
+		if err := hs.SolveVecInto(zi, ws.aRow); err != nil {
 			return nil, nil, fmt.Errorf("qp: H solve: %w", err)
 		}
-		ws.zByID[workIDs[i]] = zi
+		ws.zByID[id] = zi
 		z[i] = zi
 	}
 	// Factorized Schur complement, cached per kktStep call index: a
@@ -689,7 +646,7 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 				idx := pairIndex(workIDs[i], workIDs[j])
 				v := ws.schurV[idx]
 				if !ws.schurSet[idx] {
-					v = ws.rowDotID(mEq, workIDs[i], z[j])
+					v = p.rowDot(mEq, workIDs[i], z[j])
 					ws.schurV[idx] = v
 					ws.schurSet[idx] = true
 				}
@@ -707,7 +664,7 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 	ws.rhs = mat.GrowVec(ws.rhs, k)
 	rhs := ws.rhs
 	for i, id := range workIDs {
-		rhs[i] = ws.rowDotID(mEq, id, y)
+		rhs[i] = p.rowDot(mEq, id, y)
 	}
 	ws.lamBuf = mat.GrowVec(ws.lamBuf, k)
 	lam = ws.lamBuf
@@ -730,7 +687,8 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 			if li == 0 {
 				continue
 			}
-			ws.rowAxpyID(mEq, id, -li, acc)
+			a, r := p.row(mEq, id)
+			a.AddScaledRowInto(acc, r, -li)
 		}
 		if err := hs.SolveVecInto(dir, acc); err != nil {
 			return nil, nil, fmt.Errorf("qp: H solve: %w", err)
@@ -753,15 +711,18 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 }
 
 // denseKKTStep is the fallback for semidefinite H: factor the full
-// indefinite KKT matrix with partial-pivoted LU.
-func denseKKTStep(p *Problem, workRows [][]float64, grad []float64, n int) (dir, lam []float64, err error) {
-	rows := len(workRows)
+// indefinite KKT matrix with partial-pivoted LU. The working-set rows fill
+// it from their nonzeros; the rest stays the +0 of mat.Zeros.
+func denseKKTStep(p *Problem, workIDs []int, mEq int, grad []float64, n int) (dir, lam []float64, err error) {
+	rows := len(workIDs)
 	kkt := mat.Zeros(n+rows, n+rows)
 	kkt.SetBlock(0, 0, p.H)
-	for r, row := range workRows {
-		for j, v := range row {
-			kkt.Set(n+r, j, v)
-			kkt.Set(j, n+r, v)
+	for r, id := range workIDs {
+		a, i := p.row(mEq, id)
+		idx, val := a.RowNNZ(i)
+		for k, j := range idx {
+			kkt.Set(n+r, j, val[k])
+			kkt.Set(j, n+r, val[k])
 		}
 	}
 	rhs := make([]float64, n+rows)
@@ -916,30 +877,28 @@ func sharedPrefix(seq []pruneEntry, active []bool, mEq int) int {
 	return n
 }
 
-// residualOf orthogonalizes row (twice, for numerical robustness) against
-// the basis vectors of the entries in basis; it returns the nonzeros of the
-// normalized residual, or nil when the row is numerically dependent.
+// residualOf orthogonalizes row i of a (twice, for numerical robustness)
+// against the basis vectors of the entries in basis; it returns the
+// nonzeros of the normalized residual, or nil when the row is numerically
+// dependent.
 //
-// The residual is dense scratch, but each dot product and each update
-// walks only one basis vector's nonzeros, and the result is bit for bit
-// the dense modified Gram–Schmidt's. A dense dot adds r[k]·v[k] = ±0
-// wherever v[k] is 0; the sum starts at +0 and adding ±0 never changes it
-// (round-to-nearest never turns a +0 sum into −0). A dense update
-// subtracts dot·0 = ±0 there, which leaves r[k] unchanged, and a zero dot
-// changes nothing at all, so it skips the update. The one exception is a
-// −0 in r, which only a row given with −0 entries carries: the dense
-// update may flip it to +0. Either sign is a zero that every later dot,
-// the norm and the compression ignore, so no decision and no stored bit
-// moves.
-func (ps *pruneState) residualOf(row []float64, basis []pruneEntry) []nzEntry {
-	norm0 := mat.NormVec(row)
+// The residual is the row scattered into dense scratch, but each dot
+// product and each update walks only one basis vector's nonzeros, and the
+// result is bit for bit the dense modified Gram–Schmidt's. A dense dot
+// adds r[k]·v[k] = ±0 wherever v[k] is 0; the sum starts at +0 and adding
+// ±0 never changes it (round-to-nearest never turns a +0 sum into −0). A
+// dense update subtracts dot·0 = ±0 there, which leaves r[k] unchanged
+// (the scattered row holds +0, never −0, and x − x = +0), and a zero dot
+// changes nothing at all, so it skips the update.
+func (ps *pruneState) residualOf(a *mat.SparseRows, i int, basis []pruneEntry) []nzEntry {
+	ps.r = mat.GrowVec(ps.r, a.Cols())
+	r := ps.r
+	a.ScatterRowInto(r, i)
+	norm0 := mat.NormVec(r)
 	//lint:ignore floateq an exactly-zero row has no direction and must be rejected
 	if norm0 == 0 {
 		return nil
 	}
-	ps.r = mat.GrowVec(ps.r, len(row))
-	r := ps.r
-	copy(r, row)
 	for pass := 0; pass < 2; pass++ {
 		for _, e := range basis {
 			var dot float64
@@ -970,12 +929,12 @@ func (ps *pruneState) residualOf(row []float64, basis []pruneEntry) []nzEntry {
 	}
 	//lint:ignore hotalloc cache miss: the kept vector outlives the call inside the cache; steady-state re-solves replay it
 	vec := make([]nzEntry, nnz)
-	i := 0
+	t := 0
 	for k, v := range r {
 		//lint:ignore floateq the compressed vector keeps exactly the nonzero entries
 		if v != 0 {
-			vec[i] = nzEntry{col: k, v: v}
-			i++
+			vec[t] = nzEntry{col: k, v: v}
+			t++
 		}
 	}
 	return vec
@@ -987,7 +946,7 @@ func (ps *pruneState) residualOf(row []float64, basis []pruneEntry) []nzEntry {
 // modified Gram–Schmidt over compressed basis vectors (residualOf); with a
 // warm pruneState only the rows at and after the first working-set change
 // are re-orthogonalized.
-func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pruneState) {
+func pruneDependent(aeq, ain *mat.SparseRows, active []bool, mEq int, ps *pruneState) {
 	if ps.call >= len(ps.seqs) {
 		//lint:ignore hotalloc grow-only cache: one sequence per call index, then reused
 		ps.seqs = append(ps.seqs, nil)
@@ -1001,9 +960,9 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 		}
 	}
 	pos := 0
-	// process advances the cached prefix through one candidate row and
-	// reports whether the row stays in the working set.
-	process := func(id int, row []float64, keepDependent bool) bool {
+	// process advances the cached prefix through candidate row id, row i
+	// of a, and reports whether the row stays in the working set.
+	process := func(id int, a *mat.SparseRows, i int, keepDependent bool) bool {
 		if pos < len(entries) && entries[pos].id == id {
 			// Same row after the same prefix: decision (and basis vector,
 			// when kept) reused.
@@ -1011,20 +970,20 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 			pos++
 			return kept
 		}
-		vec := ps.residualOf(row, entries[:pos])
+		vec := ps.residualOf(a, i, entries[:pos])
 		pruned := vec == nil && !keepDependent
 		entries = append(entries[:pos], pruneEntry{id: id, vec: vec, pruned: pruned})
 		pos++
 		return !pruned
 	}
 	for i := 0; i < mEq; i++ {
-		process(i, aeqRows[i], true) // equalities always stay
+		process(i, aeq, i, true) // equalities always stay
 	}
 	for i, a := range active {
 		if !a {
 			continue
 		}
-		if !process(mEq+i, ainRows[i], false) {
+		if !process(mEq+i, ain, i, false) {
 			active[i] = false
 		}
 	}
@@ -1070,46 +1029,17 @@ func (ws *Workspace) objective(p *Problem, x []float64) float64 {
 	return 0.5*mat.Dot(x, ws.hxBuf) + mat.Dot(p.Q, x)
 }
 
-// feasible is the package-level feasible check through the workspace's
-// materialized rows: the same per-row dot products, no Ax vector.
-func (ws *Workspace) feasible(p *Problem, x []float64, tol float64) bool {
-	aeqRows, ainRows := ws.rows(p)
-	mEq := len(aeqRows)
-	for i := range aeqRows {
-		if math.Abs(ws.rowDotID(mEq, i, x)-p.Beq[i]) > tol {
+// feasible reports whether x satisfies all constraints within tol, one row
+// dot at a time, with no Ax vector.
+func (p *Problem) feasible(x []float64, tol float64) bool {
+	for i := range p.Beq {
+		if math.Abs(p.Aeq.RowDot(i, x)-p.Beq[i]) > tol {
 			return false
 		}
 	}
-	for i := range ainRows {
-		if ws.rowDotID(mEq, mEq+i, x) > p.Bin[i]+tol {
+	for i := range p.Bin {
+		if p.Ain.RowDot(i, x) > p.Bin[i]+tol {
 			return false
-		}
-	}
-	return true
-}
-
-// feasible reports whether x satisfies all constraints within tol.
-func feasible(p *Problem, x []float64, tol float64) bool {
-	if p.Aeq != nil {
-		ax, err := mat.MulVec(p.Aeq, x)
-		if err != nil {
-			return false
-		}
-		for i, v := range ax {
-			if math.Abs(v-p.Beq[i]) > tol {
-				return false
-			}
-		}
-	}
-	if p.Ain != nil {
-		ax, err := mat.MulVec(p.Ain, x)
-		if err != nil {
-			return false
-		}
-		for i, v := range ax {
-			if v > p.Bin[i]+tol {
-				return false
-			}
 		}
 	}
 	return true
@@ -1129,11 +1059,12 @@ func findFeasible(p *Problem) ([]float64, error) {
 	for i := 0; i < mIn; i++ {
 		c[2*n+i] = 1
 	}
-	// split writes row src into dst as [src, −src], leaving dst's tail.
-	split := func(dst, src []float64) {
-		copy(dst, src)
+	// split writes row i of a into dst as [a_i, −a_i], leaving dst's tail.
+	// The negated half negates all n entries, so its zeros are −0.
+	split := func(dst []float64, a *mat.SparseRows, i int) {
+		a.ScatterRowInto(dst[:n], i)
 		neg := dst[n : 2*n]
-		for j, v := range src {
+		for j, v := range dst[:n] {
 			neg[j] = -v
 		}
 	}
@@ -1143,14 +1074,14 @@ func findFeasible(p *Problem) ([]float64, error) {
 	if p.Aeq != nil {
 		ph1.Aeq, ph1.Beq = mat.Zeros(p.Aeq.Rows(), nv), p.Beq
 		for i := 0; i < p.Aeq.Rows(); i++ {
-			split(ph1.Aeq.RowView(i), p.Aeq.RowView(i))
+			split(ph1.Aeq.RowView(i), p.Aeq, i)
 		}
 	}
 	if p.Ain != nil {
 		ph1.Aub, ph1.Bub = mat.Zeros(mIn, nv), p.Bin
 		for i := 0; i < mIn; i++ {
 			row := ph1.Aub.RowView(i)
-			split(row, p.Ain.RowView(i))
+			split(row, p.Ain, i)
 			row[2*n+i] = -1
 		}
 	}
@@ -1183,15 +1114,13 @@ type LSProblem struct {
 	// nil means 0. For strict convexity either Wr > 0 or M full column rank.
 	Wr []float64
 
-	Aeq *mat.Dense
+	// Aeq, Beq, Ain, Bin and X0 are the constraint groups and the optional
+	// start, as in Problem.
+	Aeq *mat.SparseRows
 	Beq []float64
-	Ain *mat.Dense
+	Ain *mat.SparseRows
 	Bin []float64
-	// AeqSparse/AinSparse optionally mirror Aeq/Ain in compressed-row form;
-	// see Problem.AeqSparse for the contract.
-	AeqSparse *mat.SparseRows
-	AinSparse *mat.SparseRows
-	X0        []float64
+	X0  []float64
 }
 
 // Lower converts the least-squares formulation to a quadratic program.
@@ -1338,7 +1267,6 @@ func SolveLSWith(l *LSProblem, form *LSForm, ws *Workspace) (*Result, error) {
 		H: form.h, Q: q,
 		Aeq: l.Aeq, Beq: l.Beq,
 		Ain: l.Ain, Bin: l.Bin,
-		AeqSparse: l.AeqSparse, AinSparse: l.AinSparse,
 		X0:   l.X0,
 		form: form,
 	}

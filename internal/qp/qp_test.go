@@ -12,6 +12,50 @@ import (
 	"repro/internal/mat"
 )
 
+// sparse compresses a row-major dense fixture matrix into the form
+// Problem takes.
+func sparse(rows, cols int, data ...float64) *mat.SparseRows {
+	return mat.SparseRowsFrom(mat.MustNew(rows, cols, data))
+}
+
+// dense expands a compressed constraint matrix for the dense test oracles.
+func dense(a *mat.SparseRows) *mat.Dense {
+	d := mat.Zeros(a.Rows(), a.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		a.ScatterRowInto(d.RowView(i), i)
+	}
+	return d
+}
+
+// feasible reports whether x satisfies all constraints of p within tol,
+// through dense matrix-vector products: an oracle independent of the
+// solver's compressed row dots.
+func feasible(p *Problem, x []float64, tol float64) bool {
+	if p.Aeq != nil {
+		ax, err := mat.MulVec(dense(p.Aeq), x)
+		if err != nil {
+			return false
+		}
+		for i, v := range ax {
+			if math.Abs(v-p.Beq[i]) > tol {
+				return false
+			}
+		}
+	}
+	if p.Ain != nil {
+		ax, err := mat.MulVec(dense(p.Ain), x)
+		if err != nil {
+			return false
+		}
+		for i, v := range ax {
+			if v > p.Bin[i]+tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func solveOK(t *testing.T, p *Problem) *Result {
 	t.Helper()
 	res, err := Solve(p)
@@ -29,9 +73,13 @@ func TestValidate(t *testing.T) {
 		{"nil H", Problem{Q: []float64{1}}},
 		{"nonsquare H", Problem{H: mat.Zeros(2, 3), Q: []float64{1, 1}}},
 		{"q length", Problem{H: mat.Identity(2), Q: []float64{1}}},
-		{"aeq shape", Problem{H: mat.Identity(2), Q: []float64{0, 0}, Aeq: mat.Zeros(1, 3), Beq: []float64{0}}},
-		{"ain shape", Problem{H: mat.Identity(2), Q: []float64{0, 0}, Ain: mat.Zeros(2, 2), Bin: []float64{0}}},
+		{"aeq shape", Problem{H: mat.Identity(2), Q: []float64{0, 0}, Aeq: sparse(1, 3, 0, 0, 0), Beq: []float64{0}}},
+		{"ain shape", Problem{H: mat.Identity(2), Q: []float64{0, 0}, Ain: sparse(2, 2, 0, 0, 0, 0), Bin: []float64{0}}},
 		{"x0 length", Problem{H: mat.Identity(2), Q: []float64{0, 0}, X0: []float64{1}}},
+		// A right-hand side without its matrix used to be ignored: the
+		// solve returned the unconstrained x with a nil error.
+		{"beq without aeq", Problem{H: mat.Identity(2), Q: []float64{-1, -1}, Beq: []float64{0}}},
+		{"bin without ain", Problem{H: mat.Identity(2), Q: []float64{-1, -1}, Bin: []float64{0}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,8 +102,8 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 	problem := func() *Problem {
 		return &Problem{
 			H: mat.Identity(2), Q: []float64{-1, -1},
-			Aeq: mat.MustNew(1, 2, []float64{1, 1}), Beq: []float64{1},
-			Ain: mat.Identity(2), Bin: []float64{1, 1},
+			Aeq: sparse(1, 2, 1, 1), Beq: []float64{1},
+			Ain: sparse(2, 2, 1, 0, 0, 1), Bin: []float64{1, 1},
 			X0: []float64{0.5, 0.5},
 		}
 	}
@@ -66,8 +114,8 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 	lsProblem := func() *LSProblem {
 		return &LSProblem{
 			M: form.m, D: []float64{0.5, 0.5}, Wr: []float64{1, 1},
-			Aeq: mat.MustNew(1, 2, []float64{1, 1}), Beq: []float64{1},
-			Ain: mat.Identity(2), Bin: []float64{1, 1},
+			Aeq: sparse(1, 2, 1, 1), Beq: []float64{1},
+			Ain: sparse(2, 2, 1, 0, 0, 1), Bin: []float64{1, 1},
 			X0: []float64{0.5, 0.5},
 		}
 	}
@@ -146,7 +194,7 @@ func TestEqualityConstrained(t *testing.T) {
 	p := &Problem{
 		H:   mat.Identity(2),
 		Q:   []float64{0, 0},
-		Aeq: mat.MustNew(1, 2, []float64{1, 1}),
+		Aeq: sparse(1, 2, 1, 1),
 		Beq: []float64{2},
 	}
 	res := solveOK(t, p)
@@ -160,7 +208,7 @@ func TestActiveInequality(t *testing.T) {
 	p := &Problem{
 		H:   mat.Scale(2, mat.Identity(2)),
 		Q:   []float64{-4, -4},
-		Ain: mat.MustNew(1, 2, []float64{1, 1}),
+		Ain: sparse(1, 2, 1, 1),
 		Bin: []float64{2},
 		X0:  []float64{0, 0},
 	}
@@ -178,7 +226,7 @@ func TestInactiveInequality(t *testing.T) {
 	p := &Problem{
 		H:   mat.Scale(2, mat.Identity(2)),
 		Q:   []float64{-4, -4},
-		Ain: mat.MustNew(1, 2, []float64{1, 1}),
+		Ain: sparse(1, 2, 1, 1),
 		Bin: []float64{10},
 		X0:  []float64{0, 0},
 	}
@@ -197,12 +245,12 @@ func TestBoxConstrained(t *testing.T) {
 	p := &Problem{
 		H: mat.Scale(2, mat.Identity(2)),
 		Q: []float64{2, -6},
-		Ain: mat.MustNew(4, 2, []float64{
+		Ain: sparse(4, 2,
 			1, 0,
 			0, 1,
 			-1, 0,
 			0, -1,
-		}),
+		),
 		Bin: []float64{2, 2, 0, 0},
 		X0:  []float64{1, 1},
 	}
@@ -218,9 +266,9 @@ func TestMixedEqualityInequality(t *testing.T) {
 	p := &Problem{
 		H:   mat.Identity(3),
 		Q:   []float64{0, 0, 0},
-		Aeq: mat.MustNew(1, 3, []float64{1, 1, 1}),
+		Aeq: sparse(1, 3, 1, 1, 1),
 		Beq: []float64{3},
-		Ain: mat.MustNew(1, 3, []float64{1, 0, 0}),
+		Ain: sparse(1, 3, 1, 0, 0),
 		Bin: []float64{0.5},
 		X0:  []float64{0, 1.5, 1.5},
 	}
@@ -238,9 +286,9 @@ func TestPhase1FindsFeasibleStart(t *testing.T) {
 	p := &Problem{
 		H:   mat.Identity(2),
 		Q:   []float64{0, 0},
-		Aeq: mat.MustNew(1, 2, []float64{1, -1}),
+		Aeq: sparse(1, 2, 1, -1),
 		Beq: []float64{4},
-		Ain: mat.MustNew(1, 2, []float64{0, 1}),
+		Ain: sparse(1, 2, 0, 1),
 		Bin: []float64{-1}, // x2 ≤ -1, feasible with free-signed vars
 	}
 	res := solveOK(t, p)
@@ -255,9 +303,9 @@ func TestInfeasible(t *testing.T) {
 	p := &Problem{
 		H:   mat.Identity(1),
 		Q:   []float64{0},
-		Aeq: mat.MustNew(1, 1, []float64{1}),
+		Aeq: sparse(1, 1, 1),
 		Beq: []float64{5},
-		Ain: mat.MustNew(1, 1, []float64{1}),
+		Ain: sparse(1, 1, 1),
 		Bin: []float64{2},
 	}
 	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
@@ -270,7 +318,7 @@ func TestInfeasibleX0Recovered(t *testing.T) {
 	p := &Problem{
 		H:   mat.Identity(2),
 		Q:   []float64{0, 0},
-		Ain: mat.MustNew(1, 2, []float64{1, 1}),
+		Ain: sparse(1, 2, 1, 1),
 		Bin: []float64{1},
 		X0:  []float64{5, 5},
 	}
@@ -286,10 +334,10 @@ func TestRedundantActiveConstraintsPruned(t *testing.T) {
 	p := &Problem{
 		H: mat.Scale(2, mat.Identity(2)),
 		Q: []float64{-4, -4},
-		Ain: mat.MustNew(2, 2, []float64{
+		Ain: sparse(2, 2,
 			1, 1,
 			1, 1,
-		}),
+		),
 		Bin: []float64{2, 2},
 		X0:  []float64{1, 1}, // both constraints tight here
 	}
@@ -308,12 +356,16 @@ func kktResidual(p *Problem, res *Result) float64 {
 	grad := mat.AddVec(hx, p.Q)
 	var rows [][]float64
 	if p.Aeq != nil {
-		for i := 0; i < p.Aeq.Rows(); i++ {
-			rows = append(rows, p.Aeq.Row(i))
+		aeq := dense(p.Aeq)
+		for i := 0; i < aeq.Rows(); i++ {
+			rows = append(rows, aeq.Row(i))
 		}
 	}
-	for _, i := range res.Active {
-		rows = append(rows, p.Ain.Row(i))
+	if len(res.Active) > 0 {
+		ain := dense(p.Ain)
+		for _, i := range res.Active {
+			rows = append(rows, ain.Row(i))
+		}
 	}
 	if len(rows) == 0 {
 		return mat.NormInfVec(grad)
@@ -358,7 +410,7 @@ func TestPropertyKKTOnRandomProblems(t *testing.T) {
 			ain.Set(n+i, i, -1)
 			bin[n+i] = 2
 		}
-		p := &Problem{H: h, Q: q, Ain: ain, Bin: bin, X0: make([]float64, n)}
+		p := &Problem{H: h, Q: q, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
 		res, err := Solve(p)
 		if err != nil {
 			return false
@@ -396,7 +448,7 @@ func TestPropertyObjectiveNotWorseThanProjectedSamples(t *testing.T) {
 		for i := range x0 {
 			x0[i] = 1.0 / float64(n)
 		}
-		p := &Problem{H: h, Q: q, Aeq: aeq, Beq: []float64{1}, Ain: ain, Bin: bin, X0: x0}
+		p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: []float64{1}, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
 		res, err := Solve(p)
 		if err != nil {
 			return false
@@ -500,7 +552,7 @@ func TestSolveLSConstrained(t *testing.T) {
 	res, err := SolveLS(&LSProblem{
 		M:   mat.Identity(2),
 		D:   []float64{3, 5},
-		Aeq: mat.MustNew(1, 2, []float64{1, -1}),
+		Aeq: sparse(1, 2, 1, -1),
 		Beq: []float64{0},
 	})
 	if err != nil {
@@ -551,7 +603,7 @@ func TestPropertyMixedConstraintsKKT(t *testing.T) {
 		for i := range x0 {
 			x0[i] = 0.5
 		}
-		p := &Problem{H: h, Q: q, Aeq: aeq, Beq: beq, Ain: ain, Bin: bin, X0: x0}
+		p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: beq, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
 		res, err := Solve(p)
 		if err != nil {
 			return false
@@ -584,7 +636,7 @@ func TestSchurAndDenseAgree(t *testing.T) {
 	for i := range x0 {
 		x0[i] = 0.5
 	}
-	p := &Problem{H: h, Q: q, Aeq: aeq, Beq: []float64{3}, Ain: ain, Bin: bin, X0: x0}
+	p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: []float64{3}, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
 	// The public path (Schur-enabled).
 	schur, err := Solve(p)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // workspaceFixture builds an SPD Hessian with one equality (Σx = b) and box
 // inequalities — the same constraint structure across solves, as the
 // Workspace contract requires.
-func workspaceFixture(r *rand.Rand, n int) (h *mat.Dense, aeq, ain *mat.Dense) {
+func workspaceFixture(r *rand.Rand, n int) (h *mat.Dense, aeq, ain *mat.SparseRows) {
 	m := mat.Zeros(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -20,16 +20,16 @@ func workspaceFixture(r *rand.Rand, n int) (h *mat.Dense, aeq, ain *mat.Dense) {
 	}
 	mt, _ := mat.Mul(m.T(), m)
 	h, _ = mat.Add(mt, mat.Identity(n))
-	aeq = mat.Zeros(1, n)
+	eq := mat.Zeros(1, n)
 	for j := 0; j < n; j++ {
-		aeq.Set(0, j, 1)
+		eq.Set(0, j, 1)
 	}
-	ain = mat.Zeros(2*n, n)
+	in := mat.Zeros(2*n, n)
 	for i := 0; i < n; i++ {
-		ain.Set(i, i, 1)
-		ain.Set(n+i, i, -1)
+		in.Set(i, i, 1)
+		in.Set(n+i, i, -1)
 	}
-	return h, aeq, ain
+	return h, mat.SparseRowsFrom(eq), mat.SparseRowsFrom(in)
 }
 
 // TestSolveWithWorkspaceBitIdentical re-solves one problem structure with
@@ -162,7 +162,7 @@ func TestSolveLSWithFormBitIdentical(t *testing.T) {
 		for i := range d {
 			d[i] = 2 * r.NormFloat64()
 		}
-		l := &LSProblem{M: m, D: d, Wq: wq, Wr: wr, Ain: ain, Bin: bin, X0: make([]float64, n)}
+		l := &LSProblem{M: m, D: d, Wq: wq, Wr: wr, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
 		cold, err := SolveLS(l)
 		if err != nil {
 			t.Fatalf("trial %d: SolveLS: %v", trial, err)
@@ -251,8 +251,8 @@ func mpcShapedProblem(r *rand.Rand, h, aeq, ain *mat.Dense, b2 int) *Problem {
 	}
 	return &Problem{
 		H: h, Q: q,
-		Aeq: aeq, Beq: make([]float64, aeq.Rows()),
-		Ain: ain, Bin: bin,
+		Aeq: mat.SparseRowsFrom(aeq), Beq: make([]float64, aeq.Rows()),
+		Ain: mat.SparseRowsFrom(ain), Bin: bin,
 		X0: make([]float64, n),
 	}
 }
