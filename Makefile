@@ -46,8 +46,8 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR15.json
-BENCH_REF ?= BENCH_PR15.json
+BENCH_JSON ?= BENCH_PR17.json
+BENCH_REF ?= BENCH_PR17.json
 
 .PHONY: check fmt vet lint build test race bench-module leaktest bench bench-smoke
 

@@ -227,7 +227,8 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 	}
 	mpc, err := ctrl.NewMPC(cfg.MPC)
 	if err != nil {
-		return nil, err
+		// NewMPC fails only on its configuration (ctrl.ErrBadConfig).
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	slp, err := sleep.New(cfg.Topology, cfg.Sleep)
 	if err != nil {

@@ -61,6 +61,30 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative budget: %v", err)
 	}
+	// A bad MPC weight is this package's ErrBadConfig and ctrl's. NaN
+	// passes a "< 0" check: before the finiteness check a NaN smoothing
+	// weight stepped with a nil error, and NaN or +Inf tracking weights
+	// failed every Step as a malformed QP.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ctrl.MPCConfig)
+	}{
+		{"negative cost weight", func(m *ctrl.MPCConfig) { m.CostWeight = -1 }},
+		{"NaN cost weight", func(m *ctrl.MPCConfig) { m.CostWeight = nan }},
+		{"+Inf cost weight", func(m *ctrl.MPCConfig) { m.CostWeight = inf }},
+		{"NaN power weight", func(m *ctrl.MPCConfig) { m.PowerWeight = nan }},
+		{"+Inf power weight", func(m *ctrl.MPCConfig) { m.PowerWeight = inf }},
+		{"NaN smooth weight", func(m *ctrl.MPCConfig) { m.SmoothWeight = nan }},
+		{"+Inf smooth weight", func(m *ctrl.MPCConfig) { m.SmoothWeight = inf }},
+	} {
+		cfg = baseConfig()
+		tc.mutate(&cfg.MPC)
+		_, err := New(cfg)
+		if !errors.Is(err, ErrBadConfig) || !errors.Is(err, ctrl.ErrBadConfig) {
+			t.Errorf("%s: %v, want core and ctrl ErrBadConfig", tc.name, err)
+		}
+	}
 }
 
 func TestStepValidation(t *testing.T) {

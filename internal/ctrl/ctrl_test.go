@@ -183,6 +183,14 @@ func TestNewMPCValidation(t *testing.T) {
 		{PredHorizon: -1},                // negative
 		{CostWeight: -1},                 // negative weight
 		{CostWeight: 0, PowerWeight: 0, SmoothWeight: 1, PredHorizon: 4, CtrlHorizon: 2}, // no tracking
+		// Non-finite weights: NaN passes a "< 0" check.
+		{CostWeight: math.NaN(), PowerWeight: 1},
+		{CostWeight: math.Inf(1), PowerWeight: 1},
+		{PowerWeight: math.NaN()},
+		{PowerWeight: math.Inf(1)},
+		{PowerWeight: 1, SmoothWeight: math.NaN()},
+		{PowerWeight: 1, SmoothWeight: math.Inf(1)},
+		{PowerWeight: 1, SmoothWeight: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewMPC(cfg); !errors.Is(err, ErrBadConfig) {

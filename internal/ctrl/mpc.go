@@ -3,6 +3,7 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -56,8 +57,12 @@ func (c *MPCConfig) defaults() error {
 	if c.PredHorizon < 1 || c.CtrlHorizon < 1 || c.CtrlHorizon > c.PredHorizon {
 		return fmt.Errorf("horizons β1=%d β2=%d: %w", c.PredHorizon, c.CtrlHorizon, ErrBadConfig)
 	}
-	if c.CostWeight < 0 || c.PowerWeight < 0 || c.SmoothWeight < 0 {
-		return fmt.Errorf("negative weight: %w", ErrBadConfig)
+	// !(w >= 0) also rejects NaN, which fails every comparison.
+	for _, w := range [...]float64{c.CostWeight, c.PowerWeight, c.SmoothWeight} {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("weights cost=%g power=%g smooth=%g, want finite and non-negative: %w",
+				c.CostWeight, c.PowerWeight, c.SmoothWeight, ErrBadConfig)
+		}
 	}
 	//lint:ignore floateq unset-weight sentinel: only an exact zero means "disabled"
 	if c.CostWeight == 0 && c.PowerWeight == 0 {

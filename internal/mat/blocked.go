@@ -125,14 +125,17 @@ func mulTileRange(dst, a, b *Dense, t0, t1 int, panel []float64) {
 }
 
 // factorBlocked is the right-looking blocked Cholesky behind
-// Cholesky.Factor for n ≥ cholBlockMin. Each element's update chain —
-// subtract l[i][k]·l[j][k] for k ascending, then sqrt/divide — matches the
-// unblocked loop operation for operation, so factors are bit-identical and
-// the non-PD error fires at the same column with the same d.
-func (c *Cholesky) factorBlocked(a, l *Dense, n int) error {
+// Cholesky.Factor for n ≥ cholBlockMin, computing columns start…n−1 (the
+// first start columns are already in l; Factor passes 0). Each element's
+// update chain — subtract l[i][k]·l[j][k] for k ascending, then
+// sqrt/divide — matches the unblocked loop operation for operation, so
+// factors are bit-identical and the non-PD error fires at the same column
+// with the same d. Panels start at column start: where they fall moves only
+// where a chain is stored between tiles, never its operations.
+func (c *Cholesky) factorBlocked(a, l *Dense, n, start int) error {
 	ld := l.data
 	ad := a.data
-	for p0 := 0; p0 < n; p0 += factorPanel {
+	for p0 := start; p0 < n; p0 += factorPanel {
 		p1 := p0 + factorPanel
 		if p1 > n {
 			p1 = n

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -352,7 +353,7 @@ func FuzzBlockedCholesky(f *testing.F) {
 		var c Cholesky
 		l := ReuseDense(nil, n, n)
 		c.l, c.n = l, n
-		err := c.factorBlocked(a, l, n)
+		err := c.factorBlocked(a, l, n, 0)
 		if wantErr != nil {
 			if !errors.Is(err, ErrSingular) {
 				t.Fatalf("n=%d: naive failed at column %d but blocked returned %v", n, wantCol, err)
@@ -369,6 +370,237 @@ func FuzzBlockedCholesky(f *testing.F) {
 			t.Fatalf("n=%d: blocked Cholesky factor differs from naive loop", n)
 		}
 	})
+}
+
+// factorFromInput decodes one FuzzCholeskyFactorFrom input: a symmetric
+// positive definite Gram matrix g over m ids, the ascending id lists of an
+// earlier matrix b and a new matrix a (both principal submatrices of g, as
+// the working sets of an active-set solver are), the prefix p they share,
+// and the row links of a's later rows into b. Bytes past the end read as 0,
+// which puts every id in both lists and keeps p at the full common prefix.
+//
+// Layout: m, value seed, flags (bit 0 clear: dominant diagonal; the rest:
+// Gram rank), prefix shrink, poisoned row, poison value, then one byte per
+// id (bit 0: not in a, bit 1: not in b). A poisoned row i ≥ p of a gets the
+// diagonal entry fuzzValue(poison value), which usually makes a fail there.
+func factorFromInput(data []byte) (a, b *Dense, p int, from []int) {
+	off := 0
+	next := func() byte {
+		if off < len(data) {
+			v := data[off]
+			off++
+			return v
+		}
+		return 0
+	}
+	m := int(next())%(cholBlockMin+48) + 1
+	rng := rand.New(rand.NewSource(int64(next())))
+	flags := next()
+	shrink, poison, poisonVal := int(next()), int(next()), next()
+	var ida, idb []int
+	for t := 0; t < m; t++ {
+		mem := next()
+		if mem&1 == 0 {
+			ida = append(ida, t)
+		}
+		if mem&2 == 0 {
+			idb = append(idb, t)
+		}
+	}
+	rank := int(flags>>1)%16 + 1
+	v := make([]float64, m*rank)
+	for i := range v {
+		v[i] = fuzzValue(byte(rng.Intn(256)))
+	}
+	g := Zeros(m, m)
+	for s := 0; s < m; s++ {
+		for t := 0; t <= s; t++ {
+			var x float64
+			for q := 0; q < rank; q++ {
+				x += v[s*rank+q] * v[t*rank+q]
+			}
+			g.data[s*m+t], g.data[t*m+s] = x, x
+		}
+		if flags&1 == 0 {
+			g.data[s*m+s] += float64(m) * 40
+		} else {
+			g.data[s*m+s] += 0.25
+		}
+	}
+	sub := func(ids []int) *Dense {
+		k := len(ids)
+		d := Zeros(k, k)
+		for i, s := range ids {
+			for j, t := range ids {
+				d.data[i*k+j] = g.data[s*m+t]
+			}
+		}
+		return d
+	}
+	a, b = sub(ida), sub(idb)
+	for p < len(ida) && p < len(idb) && ida[p] == idb[p] {
+		p++
+	}
+	p -= shrink % (p + 1)
+	for i, r := p, p; i < len(ida); i++ {
+		for r < len(idb) && idb[r] < ida[i] {
+			r++
+		}
+		link := -1
+		if r < len(idb) && idb[r] == ida[i] {
+			link = r
+		}
+		from = append(from, link)
+	}
+	if k := len(ida); poison > 0 && k > p {
+		i := p + (poison-1)%(k-p)
+		a.data[i*k+i] = fuzzValue(poisonVal)
+	}
+	return a, b, p, from
+}
+
+// FuzzCholeskyFactorFrom checks FactorFrom against the naive loop: from a
+// distinct source, from a source that is the receiver itself, and from one
+// whose storage has room to spare (so the kept rows move within one
+// array), the factor of a must equal naiveCholesky(a) bit for bit, and a
+// non-positive-definite a must fail with Factor's error at the same column.
+// FactorFrom sees a with NaN in every entry it must not read. Sizes reach
+// past cholBlockMin, so both the unblocked and the blocked loop run from
+// column p.
+func FuzzCholeskyFactorFrom(f *testing.F) {
+	f.Add([]byte{})
+	// Small (unblocked) seeds: p = 0 (the first id is new), p = k (no
+	// change), a pure insert and a pure drop after the prefix.
+	f.Add([]byte{23, 5, 6, 0, 0, 0, 2})
+	f.Add([]byte{23, 6, 1})
+	f.Add([]byte{23, 7, 8, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 2, 0, 0, 0, 2})
+	f.Add([]byte{23, 8, 3, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b, p, from := factorFromInput(data)
+		n := a.rows
+		var src Cholesky
+		if err := src.Factor(b); err != nil {
+			return // b is positive definite by construction; rounding aside
+		}
+		srcL := src.l.Clone()
+		want, wantCol, wantErr := naiveCholesky(a)
+		var ref Cholesky
+		refErr := ref.Factor(a)
+		// What FactorFrom reads of a: rows p and beyond, on and below the
+		// diagonal, from column p in a repeated row.
+		given := a.Clone()
+		for i := 0; i < n; i++ {
+			j0 := n
+			if i >= p {
+				j0 = 0
+				if from[i-p] >= 0 {
+					j0 = p
+				}
+			}
+			for j := 0; j < n; j++ {
+				if j < j0 || j > i {
+					given.data[i*n+j] = math.NaN()
+				}
+			}
+		}
+		check := func(name string, c *Cholesky, err error) {
+			t.Helper()
+			if wantErr != nil {
+				if err == nil || refErr == nil || err.Error() != refErr.Error() {
+					t.Fatalf("%s: n=%d p=%d: naive failed at column %d (Factor: %v), FactorFrom returned %v", name, n, p, wantCol, refErr, err)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprintf("column %d ", wantCol)) {
+					t.Fatalf("%s: n=%d p=%d: error %q, want failure at column %d", name, n, p, err, wantCol)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: n=%d p=%d: naive succeeded but FactorFrom returned %v", name, n, p, err)
+			}
+			if !Equal(c.l, want) {
+				t.Fatalf("%s: n=%d p=%d: factor differs from the naive loop", name, n, p)
+			}
+		}
+
+		// Distinct source into a receiver holding a stale, larger factor.
+		var c Cholesky
+		if err := c.Factor(Identity(n + 3)); err != nil {
+			t.Fatal(err)
+		}
+		check("distinct source", &c, c.FactorFrom(given, &src, p, from))
+		if !Equal(src.l, srcL) {
+			t.Fatalf("n=%d p=%d: FactorFrom wrote to its source", n, p)
+		}
+
+		// The receiver as its own source, with exactly b's storage.
+		var self Cholesky
+		if err := self.Factor(b); err != nil {
+			t.Fatal(err)
+		}
+		check("self source", &self, self.FactorFrom(given, &self, p, from))
+
+		// The receiver as its own source, with room for a and b both, so
+		// every kept row moves inside one array.
+		var roomy Cholesky
+		big := n
+		if b.rows > big {
+			big = b.rows
+		}
+		if err := roomy.Factor(Identity(big + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := roomy.Factor(b); err != nil {
+			t.Fatal(err)
+		}
+		check("self source in place", &roomy, roomy.FactorFrom(given, &roomy, p, from))
+
+		// With no repeated row, nil links mean the same.
+		if !slices.ContainsFunc(from, func(r int) bool { return r >= 0 }) {
+			var none Cholesky
+			check("nil links", &none, none.FactorFrom(given, &src, p, nil))
+		}
+	})
+}
+
+// TestCholeskyFactorFromRejectsBadLinks pins FactorFrom's argument checks:
+// a prefix longer than either matrix, a link list of the wrong length, and
+// links that do not ascend or fall outside the earlier factor's later rows
+// are ErrShape, and they leave the receiver untouched.
+func TestCholeskyFactorFromRejectsBadLinks(t *testing.T) {
+	b := Identity(4)
+	var src Cholesky
+	if err := src.Factor(b); err != nil {
+		t.Fatal(err)
+	}
+	a := Identity(3)
+	for _, tc := range []struct {
+		name string
+		src  *Cholesky
+		p    int
+		from []int
+	}{
+		{"prefix past a", &src, 4, nil},
+		{"prefix past src", &Cholesky{}, 1, []int{-1, -1}},
+		{"negative prefix", &src, -1, []int{-1, -1, -1, -1}},
+		{"short links", &src, 1, []int{2}},
+		{"link into prefix", &src, 1, []int{0, 2}},
+		{"link past src", &src, 1, []int{2, 4}},
+		{"descending links", &src, 1, []int{3, 2}},
+		{"repeated link", &src, 1, []int{2, 2}},
+		{"links without src", nil, 0, []int{0, -1, -1}},
+	} {
+		c := Cholesky{}
+		if err := c.FactorFrom(a, tc.src, tc.p, tc.from); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: err = %v, want ErrShape", tc.name, err)
+		}
+		if c.l != nil {
+			t.Errorf("%s: receiver was written", tc.name)
+		}
+	}
+	var c Cholesky
+	if err := c.FactorFrom(a, &src, 1, []int{2, -1}); err != nil {
+		t.Fatalf("valid links rejected: %v", err)
+	}
 }
 
 // FuzzBlockedLU drives the blocked factorization directly (below the

@@ -29,39 +29,141 @@ func FactorCholesky(a *Dense) (*Cholesky, error) {
 // Factor recomputes the factorization in place, reusing c's storage when it
 // has capacity. On error c is left in an unusable state and must be
 // re-factored before solving. The zero value of Cholesky is ready for Factor.
-func (c *Cholesky) Factor(a *Dense) error {
+func (c *Cholesky) Factor(a *Dense) error { return c.FactorFrom(a, nil, 0, nil) }
+
+// FactorFrom computes the factorization of a as Factor does, starting from
+// src, the factor of an earlier matrix b. Rows 0…p−1 of a and b are equal
+// on and below the diagonal, and each later row i of a either repeats row
+// from[i−p] of b in its first p columns or, with from[i−p] = −1, is new.
+// The repeated rows ascend and lie in p…src's size−1; a nil from means no
+// row repeats. src may be c itself. With p = 0 nothing is kept: Factor is
+// FactorFrom(a, nil, 0, nil).
+//
+// Row i of the factor depends only on rows 0…i of a, and its entry in a
+// column j < p only on a's row i up to column j and the factor's first p
+// rows. So the factor's first p rows are src's, and so are the first p
+// columns of each repeated row; those are copied. An inserted row's first
+// p columns come from forward substitution against the kept rows, which is
+// the column loop's own chain for those entries, and every column from p on
+// is computed by Factor's loop (unblocked or blocked) started at column p.
+// The result is Factor(a) bit for bit, and a non-positive-definite a fails
+// at the same column with the same error.
+//
+// Only the lower triangle of a is read, and of it only rows p and beyond:
+// columns p…i of a repeated row i, and 0…i of an inserted one.
+func (c *Cholesky) FactorFrom(a *Dense, src *Cholesky, p int, from []int) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("mat: cholesky of %dx%d: %w", a.rows, a.cols, ErrShape)
 	}
-	n := a.rows
-	// Zeroing reshape: only the lower triangle is written below, the strict
-	// upper triangle must be zero.
-	l := ReuseDense(c.l, n, n)
+	n, on := a.rows, 0
+	if src != nil {
+		on = src.n
+	}
+	if p < 0 || p > n || p > on || from != nil && len(from) != n-p {
+		return fmt.Errorf("mat: cholesky of %dx%d from a %d-row factor, prefix %d, %d row links: %w", n, n, on, p, len(from), ErrShape)
+	}
+	last := p - 1
+	for _, r := range from {
+		if r < 0 {
+			continue
+		}
+		if r <= last || r >= on {
+			return fmt.Errorf("mat: cholesky row link %d after %d, want ascending in [%d, %d): %w", r, last, p, on, ErrShape)
+		}
+		last = r
+	}
+	var old []float64
+	if p > 0 {
+		// Read before the reshape below: src may be c.
+		old = src.l.data
+	}
+	l := reuseUnset(c.l, n, n)
 	c.l, c.n = l, n
+	ld := l.data
+	if p > 0 {
+		keepRows(ld, n, old, on, p, from)
+		for i := p; i < n; i++ {
+			if link(from, i-p) >= 0 {
+				continue
+			}
+			// Inserted row: its first p columns by forward substitution.
+			for j := 0; j < p; j++ {
+				s := a.data[i*n+j]
+				for k := 0; k < j; k++ {
+					s -= ld[i*n+k] * ld[j*n+k]
+				}
+				ld[i*n+j] = s / ld[j*n+j]
+			}
+		}
+	}
+	// Every entry on and below the diagonal is kept, substituted or
+	// factored; the strict upper triangle must be zero.
+	for i := 0; i < n; i++ {
+		clear(ld[i*n+i+1 : (i+1)*n])
+	}
 	if n >= cholBlockMin {
 		// Bit-identical cache-tiled path for large systems (blocked.go).
-		return c.factorBlocked(a, l, n)
+		return c.factorBlocked(a, l, n, p)
 	}
-	for j := 0; j < n; j++ {
+	for j := p; j < n; j++ {
 		d := a.data[j*n+j]
 		for k := 0; k < j; k++ {
-			d -= l.data[j*n+k] * l.data[j*n+k]
+			d -= ld[j*n+k] * ld[j*n+k]
 		}
 		if d <= 0 {
 			c.n = 0
 			return fmt.Errorf("mat: non-positive-definite at column %d (d=%g): %w", j, d, ErrSingular)
 		}
 		dj := math.Sqrt(d)
-		l.data[j*n+j] = dj
+		ld[j*n+j] = dj
 		for i := j + 1; i < n; i++ {
 			s := a.data[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= l.data[i*n+k] * l.data[j*n+k]
+				s -= ld[i*n+k] * ld[j*n+k]
 			}
-			l.data[i*n+j] = s / dj
+			ld[i*n+j] = s / dj
 		}
 	}
 	return nil
+}
+
+// keepRows copies into l (n×n) the entries FactorFrom keeps from old, an
+// on×on factor: all of 0…i of each prefix row i < p, and the first p
+// columns of each repeated row. old may be l's own storage. Both the source
+// and the destination offset ascend with the row, and a row's entries fit
+// within either stride, so a row moving toward the front can only land on
+// the sources of earlier rows and one moving toward the back only on those
+// of later rows: moving the first kind in ascending order, then the second
+// in descending order, reads every source before anything overwrites it.
+func keepRows(l []float64, n int, old []float64, on, p int, from []int) {
+	kept := func(i int) (r, w int) {
+		if i < p {
+			return i, i + 1
+		}
+		if r := link(from, i-p); r >= 0 {
+			return r, p
+		}
+		return 0, 0
+	}
+	for i := 0; i < n; i++ {
+		if r, w := kept(i); w > 0 && i*n <= r*on {
+			copy(l[i*n:i*n+w], old[r*on:r*on+w])
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if r, w := kept(i); w > 0 && i*n > r*on {
+			copy(l[i*n:i*n+w], old[r*on:r*on+w])
+		}
+	}
+}
+
+// link returns from[t], the row of the earlier factor that row p+t
+// repeats, or −1 when from is nil.
+func link(from []int, t int) int {
+	if from == nil {
+		return -1
+	}
+	return from[t]
 }
 
 // L returns a copy of the lower-triangular factor.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/testenv"
 )
 
@@ -41,5 +42,52 @@ func TestSolveWithSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state SolveWith allocated %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestSolveWithFactorReuseAllocFree pins the miss path of the Schur factor
+// cache: a warm workspace alternates two right-hand sides whose working
+// sets differ after the equality rows, so every kktStep misses its slot
+// and refactors from the prefix the slot's old factor shares with it. Once
+// the scratch has grown, that path allocates nothing either.
+func TestSolveWithFactorReuseAllocFree(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// min ½‖x‖² − 2x₁ s.t. x₁ + x₂ + x₃ = 3, x ≤ bin, from [1 1 1], the
+	// minimizer under both bins. Under binA rows 0 and 1 are active there
+	// (row 1 with multiplier 0), under binB only row 0, so each solve is one
+	// kktStep on a working set one row longer or shorter than the last.
+	binA, binB := []float64{1, 1, 5}, []float64{1, 2, 5}
+	p := &Problem{
+		H: mat.Identity(3), Q: []float64{-2, 0, 0},
+		Aeq: sparse(1, 3, 1, 1, 1), Beq: []float64{3},
+		Ain: sparse(3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1), Bin: binA,
+		X0: []float64{1, 1, 1},
+	}
+	ws := NewWorkspace()
+	solve := func(bin []float64, wantIDs int) {
+		p.Bin = bin
+		res, err := SolveWith(p, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 1 || res.X[0] != 1 || res.X[1] != 1 || res.X[2] != 1 {
+			t.Fatalf("bin %v: X = %v after %d iterations, want [1 1 1] after 1", bin, res.X, res.Iterations)
+		}
+		if ids := ws.sfc.entries[0].ids; len(ws.sfc.entries) != 1 || len(ids) != wantIDs {
+			t.Fatalf("bin %v: Schur slots %d, slot 0 ids %v; want 1 slot with %d ids", bin, len(ws.sfc.entries), ids, wantIDs)
+		}
+	}
+	for i := 0; i < 3; i++ { // grow scratch, populate caches
+		solve(binA, 3)
+		solve(binB, 2)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		solve(binA, 3)
+		solve(binB, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("alternating SolveWith allocated %v allocs/run, want 0", allocs)
 	}
 }

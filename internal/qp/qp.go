@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/mat"
@@ -114,6 +115,9 @@ const (
 //   - within a solve, a prune call starts from the previous call's sequence
 //     when that shares a longer id prefix than its own cached one, so a cold
 //     call re-orthogonalizes only from the inserted row onward;
+//   - a Schur factor miss likewise starts from its slot's old factor or the
+//     previous call's, whichever shares the longer id prefix, and
+//     keeps what the working-set change left intact (refactorSchur);
 //   - the Schur pair cache is stored packed, upper triangle only.
 //
 // Reusing a Workspace after H, Aeq or Ain changed produces wrong results —
@@ -298,6 +302,19 @@ func checkFinite(name string, xs []float64) error {
 	return nil
 }
 
+// checkFiniteDense is checkFinite for the matrix called name, naming the
+// entry's row and column.
+func checkFiniteDense(name string, m *mat.Dense) error {
+	for i := 0; i < m.Rows(); i++ {
+		for j, x := range m.RowView(i) {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%s[%d][%d] = %v: %w", name, i, j, x, ErrBadProblem)
+			}
+		}
+	}
+	return nil
+}
+
 // Objective evaluates ½ xᵀH x + qᵀx.
 func (p *Problem) Objective(x []float64) float64 {
 	hx, err := mat.MulVec(p.H, x)
@@ -392,6 +409,12 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 		hs = p.form
 		ws.instr.FactorReuse.Inc()
 	} else if !ws.hReady {
+		// Checked here, once per workspace: a NaN or ±Inf in H passes the
+		// factorization's d ≤ 0 test and came back as a wrong x with a nil
+		// error.
+		if err := checkFiniteDense("H", p.H); err != nil {
+			return nil, err
+		}
 		ws.instr.Factorizations.Inc()
 		//lint:ignore hotalloc factored once per workspace, reused by every later solve
 		hChol, _ := mat.FactorCholesky(p.H)
@@ -635,30 +658,10 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workIDs []int, grad []floa
 	// assembled from the same cached entries) — skip both the assembly and
 	// the Cholesky, which dominated the per-iteration cost.
 	ent := ws.sfc.next()
-	if !sameIDs(ent.ids, workIDs) {
-		ent.ids = ent.ids[:0] // invalid until Factor succeeds
-		// Assemble S (s_ij = aᵢᵀ·H⁻¹·aⱼ) from the per-pair entry cache,
-		// which persists across iterations and solves.
-		ws.schurBuf = mat.ReuseDense(ws.schurBuf, k, k)
-		schur := ws.schurBuf
-		for i := 0; i < k; i++ {
-			for j := i; j < k; j++ {
-				idx := pairIndex(workIDs[i], workIDs[j])
-				v := ws.schurV[idx]
-				if !ws.schurSet[idx] {
-					v = p.rowDot(mEq, workIDs[i], z[j])
-					ws.schurV[idx] = v
-					ws.schurSet[idx] = true
-				}
-				schur.Set(i, j, v)
-				schur.Set(j, i, v)
-			}
+	if pre := commonPrefix(ent.ids, workIDs); pre != k || len(ent.ids) != k {
+		if err := ws.refactorSchur(p, ent, pre, workIDs, z, mEq); err != nil {
+			return nil, nil, err
 		}
-		if err := ent.chol.Factor(schur); err != nil {
-			return nil, nil, fmt.Errorf("qp: singular KKT system: %w", err)
-		}
-		//lint:ignore hotalloc grow-only id key: reaches steady size, then reused
-		ent.ids = append(ent.ids, workIDs...)
 	}
 	// S·λ = Aw·y.
 	ws.rhs = mat.GrowVec(ws.rhs, k)
@@ -710,6 +713,78 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workIDs []int, grad []floa
 	return dir, lam, nil
 }
 
+// refactorSchur rebuilds the Schur factor of the slot ent, which missed
+// and shares pre leading ids with it, for the working set workIDs with
+// H⁻¹ columns z. It refactors only what the working-set change touched: it
+// starts from whichever factor shares the longer id prefix, ent's own from
+// the last solve or the previous call's, and keeps that factor's prefix
+// rows and the leading columns of every row it repeats
+// (mat.Cholesky.FactorFrom, bit-identical to Factor).
+func (ws *Workspace) refactorSchur(p *Problem, ent *schurFactorEntry, pre int, workIDs []int, z [][]float64, mEq int) error {
+	k := len(workIDs)
+	src := ent
+	if prev := ws.sfc.prev(); prev != nil {
+		if q := commonPrefix(prev.ids, workIDs); q > pre {
+			src, pre = prev, q
+		}
+	}
+	// Merge walk over the two ascending id lists: links[i−pre] is the row
+	// of src's factor that row i repeats, or −1. Without a shared prefix a
+	// repeated row keeps nothing, so nil links do. The links take storage
+	// that is dead until the solve ends: ent's id list, which must hold k
+	// ids after the factorization anyway, or, when ent is the source
+	// itself, the buffer behind the last solve's Result.Active, which this
+	// solve overwrites.
+	var links []int
+	if pre > 0 {
+		if src == ent {
+			ws.activeIdx = slices.Grow(ws.activeIdx[:0], k-pre)
+			links = ws.activeIdx[:k-pre]
+		} else {
+			ent.ids = slices.Grow(ent.ids[:0], k)
+			links = ent.ids[:k-pre]
+		}
+		r := pre
+		for i := pre; i < k; i++ {
+			for r < len(src.ids) && src.ids[r] < workIDs[i] {
+				r++
+			}
+			links[i-pre] = -1
+			if r < len(src.ids) && src.ids[r] == workIDs[i] {
+				links[i-pre] = r
+			}
+		}
+	}
+	// Assemble from the per-pair entry cache, which persists across
+	// iterations and solves, only the lower-triangle entries of S
+	// (s_ij = aᵢᵀ·H⁻¹·aⱼ) that FactorFrom reads.
+	ws.schurBuf = mat.ReuseDense(ws.schurBuf, k, k)
+	for i := pre; i < k; i++ {
+		row := ws.schurBuf.RowView(i)
+		j0 := 0
+		if links != nil && links[i-pre] >= 0 {
+			j0 = pre
+		}
+		for j := j0; j <= i; j++ {
+			idx := pairIndex(workIDs[j], workIDs[i])
+			v := ws.schurV[idx]
+			if !ws.schurSet[idx] {
+				v = p.rowDot(mEq, workIDs[j], z[i])
+				ws.schurV[idx] = v
+				ws.schurSet[idx] = true
+			}
+			row[j] = v
+		}
+	}
+	ent.ids = ent.ids[:0] // invalid until the factorization succeeds
+	if err := ent.chol.FactorFrom(ws.schurBuf, &src.chol, pre, links); err != nil {
+		return fmt.Errorf("qp: singular KKT system: %w", err)
+	}
+	//lint:ignore hotalloc grow-only id key: reaches steady size, then reused
+	ent.ids = append(ent.ids, workIDs...)
+	return nil
+}
+
 // denseKKTStep is the fallback for semidefinite H: factor the full
 // indefinite KKT matrix with partial-pivoted LU. The working-set rows fill
 // it from their nonzeros; the rest stays the +0 of mat.Zeros.
@@ -742,7 +817,7 @@ func pairIndex(a, b int) int { return b*(b+1)/2 + a }
 
 // schurFactorEntry is one cached Schur factorization: the exact working-set
 // id sequence it was built for and the Cholesky factor of its S. An empty
-// ids marks the entry invalid (fresh, or its last Factor failed).
+// ids marks the entry invalid (fresh, or its last factorization failed).
 type schurFactorEntry struct {
 	ids  []int
 	chol mat.Cholesky
@@ -753,7 +828,8 @@ type schurFactorEntry struct {
 // working set evolves identically across steady-state re-solves, so call
 // index c sees the same id sequence every solve and its factor can be
 // reused verbatim. The entries never invalidate each other; a call whose
-// ids differ simply refactors its own slot.
+// ids differ refactors its own slot, starting from its old factor or the
+// previous call's (refactorSchur).
 type schurFactorCache struct {
 	entries []*schurFactorEntry
 	call    int
@@ -782,19 +858,26 @@ func (c *schurFactorCache) next() *schurFactorEntry {
 	return e
 }
 
-// sameIDs reports whether a and b hold the same id sequence.
+// prev returns the entry of the call before the one next last returned,
+// or nil for the first call of a solve.
+func (c *schurFactorCache) prev() *schurFactorEntry {
+	if c.call < 2 {
+		return nil
+	}
+	return c.entries[c.call-2]
+}
+
+// commonPrefix returns how many leading ids a and b share.
 //
 //lint:hotsafe integer comparison loop, no allocation
-func sameIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
+func commonPrefix(a, b []int) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return false
+			return i
 		}
 	}
-	return true
+	return n
 }
 
 // nzEntry is one nonzero of a compressed Gram–Schmidt basis vector.

@@ -94,7 +94,9 @@ func TestValidate(t *testing.T) {
 // in q, beq, bin or X0 is ErrBadProblem naming the vector and the index,
 // through Solve and through SolveLSWith (with and without a cached form),
 // where a bad residual d reaches q. Without the check such a solve returned
-// a wrong or NaN x with a nil error.
+// a wrong or NaN x with a nil error. So did a NaN or ±Inf in H, which
+// SolveWith rejects where it factors H, naming the entry; through
+// SolveLSWith a bad regularization weight wr reaches H alone.
 func TestSolveRejectsNonFinite(t *testing.T) {
 	// min ½‖x‖² − x₁ − x₂ s.t. x₁ + x₂ = 1, x ≤ 1, from the feasible
 	// [0.5 0.5], which is also the minimizer. As a least-squares problem:
@@ -173,6 +175,23 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 					})
 				}
 			}
+		}
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				name := fmt.Sprintf("H[%d][%d]", i, j)
+				t.Run(fmt.Sprintf("Solve/%s=%v", name, v), func(t *testing.T) {
+					p := problem()
+					p.H.Set(i, j, v)
+					_, err := Solve(p)
+					wantErr(t, err, name)
+				})
+			}
+			t.Run(fmt.Sprintf("SolveLSWith/Wr[%d]=%v", i, v), func(t *testing.T) {
+				l := lsProblem()
+				l.Wr[i] = v
+				_, err := SolveLSWith(l, nil, NewWorkspace())
+				wantErr(t, err, fmt.Sprintf("H[%d][%d]", i, i))
+			})
 		}
 	}
 }
