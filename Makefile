@@ -39,6 +39,10 @@
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
+#   make fuzz-smoke — each internal/mat fuzzer for 10 s past its seed
+#                  corpus (about 70 s in all): the bit-identity fuzzers of
+#                  the blocked and chain-interleaved kernels against their
+#                  reference loops. `go test` alone runs only the seeds.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
 #                  Runs with -short: the dense C50×N20 control bench (a
@@ -46,10 +50,11 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR17.json
-BENCH_REF ?= BENCH_PR17.json
+BENCH_JSON ?= BENCH_PR18.json
+BENCH_REF ?= BENCH_PR18.json
+MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
 
-.PHONY: check fmt vet lint build test race bench-module leaktest bench bench-smoke
+.PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke
 
 check: fmt vet lint build test race bench-module
 
@@ -77,6 +82,12 @@ bench-module:
 
 leaktest:
 	$(GO) test -race -run Leak ./internal/... -count=1
+
+fuzz-smoke:
+	@for f in $(MAT_FUZZ); do \
+		echo "$$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/mat || exit 1; \
+	done
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem -count 3 . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)

@@ -240,7 +240,9 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 		for i := range preds {
 			p, err := forecast.NewPredictor(cfg.Forecast)
 			if err != nil {
-				return nil, err
+				// NewPredictor fails only on its configuration
+				// (forecast.ErrBadOrder).
+				return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 			}
 			preds[i] = p
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/ctrl"
+	"repro/internal/forecast"
 	"repro/internal/idc"
 	"repro/internal/price"
 	"repro/internal/workload"
@@ -83,6 +84,25 @@ func TestNewValidation(t *testing.T) {
 		_, err := New(cfg)
 		if !errors.Is(err, ErrBadConfig) || !errors.Is(err, ctrl.ErrBadConfig) {
 			t.Errorf("%s: %v, want core and ctrl ErrBadConfig", tc.name, err)
+		}
+	}
+	// A bad forecaster setting is this package's ErrBadConfig and
+	// forecast's ErrBadOrder. NaN and +Inf passed NewRLS's range checks and
+	// forecast NaN with a nil error.
+	for _, tc := range []struct {
+		name string
+		fc   forecast.PredictorConfig
+	}{
+		{"NaN lambda", forecast.PredictorConfig{Lambda: nan}},
+		{"NaN delta", forecast.PredictorConfig{Delta: nan}},
+		{"+Inf delta", forecast.PredictorConfig{Delta: inf}},
+	} {
+		cfg = baseConfig()
+		cfg.UseForecast = true
+		cfg.Forecast = tc.fc
+		_, err := New(cfg)
+		if !errors.Is(err, ErrBadConfig) || !errors.Is(err, forecast.ErrBadOrder) {
+			t.Errorf("%s: %v, want core ErrBadConfig and forecast ErrBadOrder", tc.name, err)
 		}
 	}
 }

@@ -7,11 +7,13 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 )
 
-// ErrBadOrder is returned for nonpositive model orders.
+// ErrBadOrder is returned for nonpositive model orders, and by NewRLS for a
+// forgetting factor or covariance scale outside its range.
 var ErrBadOrder = errors.New("forecast: model order must be positive")
 
 // ErrNotReady is returned when prediction is requested before the estimator
@@ -98,17 +100,19 @@ type RLS struct {
 }
 
 // NewRLS creates an estimator with n parameters, forgetting factor lambda
-// in (0, 1] and initial covariance delta·I (delta large ⇒ fast initial
-// adaptation; 1e3 is a common choice).
+// in (0, 1] and initial covariance delta·I with delta finite and positive
+// (delta large ⇒ fast initial adaptation; 1e3 is a common choice).
 func NewRLS(n int, lambda, delta float64) (*RLS, error) {
 	if n <= 0 {
 		return nil, ErrBadOrder
 	}
-	if lambda <= 0 || lambda > 1 {
+	// Negated ranges, so that NaN, which compares false to everything,
+	// fails them: a NaN or infinite setting made every forecast NaN.
+	if !(lambda > 0 && lambda <= 1) {
 		return nil, fmt.Errorf("forgetting factor %g not in (0,1]: %w", lambda, ErrBadOrder)
 	}
-	if delta <= 0 {
-		return nil, fmt.Errorf("initial covariance %g: %w", delta, ErrBadOrder)
+	if !(delta > 0) || math.IsInf(delta, 1) {
+		return nil, fmt.Errorf("initial covariance %g not finite and positive: %w", delta, ErrBadOrder)
 	}
 	return &RLS{
 		theta:  make([]float64, n),

@@ -75,6 +75,25 @@ func TestRLSValidation(t *testing.T) {
 	if _, err := NewRLS(2, 0.99, 0); !errors.Is(err, ErrBadOrder) {
 		t.Fatalf("delta=0: %v", err)
 	}
+	// NaN compares false to everything, so it passed the old "<= 0" and
+	// "> 1" range tests, and +Inf passed "delta <= 0"; either setting made
+	// every forecast NaN, with a nil error.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name          string
+		lambda, delta float64
+	}{
+		{"lambda=NaN", nan, 100},
+		{"delta=NaN", 0.99, nan},
+		{"delta=+Inf", 0.99, inf},
+	} {
+		if _, err := NewRLS(2, tc.lambda, tc.delta); !errors.Is(err, ErrBadOrder) {
+			t.Errorf("NewRLS %s: %v, want ErrBadOrder", tc.name, err)
+		}
+		if _, err := NewPredictor(PredictorConfig{Lambda: tc.lambda, Delta: tc.delta}); !errors.Is(err, ErrBadOrder) {
+			t.Errorf("NewPredictor %s: %v, want ErrBadOrder", tc.name, err)
+		}
+	}
 	r, err := NewRLS(2, 0.99, 100)
 	if err != nil {
 		t.Fatalf("NewRLS: %v", err)

@@ -21,6 +21,11 @@ import (
 // results are therefore bit-identical (pinned by TestBlockedMulIntoBitIdentical
 // and friends plus FuzzBlockedMulInto), which is what makes the size
 // dispatch below safe: crossing a threshold can never change a result.
+// The loops that work on several output elements per pass (MulVecInto,
+// the unblocked Cholesky column loop, SolveVecInto's forward and
+// row-streaming back sweeps) follow the same rule: they interleave the
+// chains of different elements, never split or reorder one
+// (FuzzDenseKernelsBitIdentical).
 //
 // One documented carve-out: the large-system triangular back-substitution
 // (triSolveSaxpyMin, used by Cholesky.SolveVecInto) switches to the

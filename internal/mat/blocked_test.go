@@ -57,6 +57,73 @@ func naiveCholesky(a *Dense) (*Dense, int, error) {
 	return l, -1, nil
 }
 
+// naiveMulVec is the reference matrix-vector product, byte-for-byte the
+// pre-interleaving MulVecInto loop: one row, so one chain, per pass.
+func naiveMulVec(a *Dense, x []float64) []float64 {
+	dst := make([]float64, a.rows)
+	for i := 0; i < a.rows; i++ {
+		row := a.data[i*a.cols : (i+1)*a.cols]
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		dst[i] = s
+	}
+	return dst
+}
+
+// naiveCholSolve is the reference solve against the factor l, byte-for-byte
+// the pre-interleaving SolveVecInto loops: one row per pass, with the
+// dot-form back sweep below triSolveSaxpyMin and the one-row saxpy sweep
+// at or above it.
+func naiveCholSolve(l *Dense, b []float64) []float64 {
+	n := l.rows
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.data[i*n+k] * y[k]
+		}
+		y[i] = s / l.data[i*n+i]
+	}
+	if n >= triSolveSaxpyMin {
+		for i := n - 1; i >= 0; i-- {
+			xi := y[i] / l.data[i*n+i]
+			y[i] = xi
+			//lint:ignore floateq the reference keeps the kernel's exact skip-zero test
+			if xi == 0 {
+				continue
+			}
+			for k, lik := range l.data[i*n : i*n+i] {
+				y[k] -= lik * xi
+			}
+		}
+		return y
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.data[k*n+i] * y[k]
+		}
+		y[i] = s / l.data[i*n+i]
+	}
+	return y
+}
+
+// diffBits returns the first index at which got and want differ in their
+// bits (so +0 and −0 differ, and equal NaNs do not), or −1.
+func diffBits(got, want []float64) int {
+	if len(got) != len(want) {
+		return min(len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // naiveLU is the reference unblocked factorization with partial pivoting.
 func naiveLU(a *Dense) (*Dense, []int, error) {
 	n := a.rows
@@ -368,6 +435,139 @@ func FuzzBlockedCholesky(f *testing.F) {
 		}
 		if !Equal(l, want) {
 			t.Fatalf("n=%d: blocked Cholesky factor differs from naive loop", n)
+		}
+	})
+}
+
+// FuzzDenseKernelsBitIdentical checks the kernels that keep several
+// accumulation chains in flight — MulVecInto, Cholesky.Factor's unblocked
+// column loop and SolveVecInto's forward and row-streaming back sweeps —
+// against the one-chain-per-pass reference loops, bit for bit. Sizes run
+// 0…150: every remainder of the four- and two-row passes, and both sides of
+// cholBlockMin and triSolveSaxpyMin. Entries are Gaussian, so a split or
+// reassociated chain rounds differently; block-diagonal matrices and
+// right-hand sides with exact +0 and −0 entries and whole zero blocks make
+// solution entries exactly zero, so every skip-zero branch fires. A
+// right-hand side of signed zeros only keeps −0 entries alive through both
+// sweeps, where a skipped update and an applied one differ in the sign of
+// a zero. One input in eight leaves the diagonal undominated, and the
+// factorization must then fail at the reference's column.
+//
+// Layout: n, rows of the product's matrix, block size, flags (bits 0–2
+// clear: undominated; bit 3: signed-zero right-hand side), then eight
+// bytes of RNG seed.
+func FuzzDenseKernelsBitIdentical(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 5, 3, 1, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{144, 131, 9, 1, 42})
+	f.Add([]byte{150, 150, 150, 1, 7})
+	f.Add([]byte{130, 3, 4, 0, 9})
+	f.Add([]byte{99, 77, 13, 1, 3})
+	f.Add([]byte{129, 1, 2, 1, 5})
+	f.Add([]byte{20, 3, 4, 0, 9})
+	f.Add([]byte{140, 0, 5, 9, 1})
+	f.Add([]byte{31, 0, 13, 9, 2})
+	f.Add([]byte{130, 66, 55, 57, 49}) // a −0 only the skip-zero test on y[i−1] keeps
+	f.Fuzz(func(t *testing.T, data []byte) {
+		off := 0
+		next := func() byte {
+			if off < len(data) {
+				b := data[off]
+				off++
+				return b
+			}
+			return 0
+		}
+		n := int(next()) % 151
+		m := int(next()) % 151
+		blk := int(next())%16 + 1
+		if blk > 12 {
+			blk = n // one dense block
+		}
+		flags := next()
+		dominant, zeroRHS := flags%8 != 0, flags&8 != 0
+		var seed int64
+		for i := 0; i < 8; i++ {
+			seed = seed<<8 | int64(next())
+		}
+		rng := rand.New(rand.NewSource(seed))
+		entry := func() float64 {
+			if rng.Intn(4) == 0 {
+				return 0
+			}
+			return rng.NormFloat64()
+		}
+
+		// MulVecInto over an m×n matrix.
+		g := Zeros(m, n)
+		for i := range g.data {
+			g.data[i] = entry()
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = entry()
+		}
+		got := make([]float64, m)
+		if err := MulVecInto(got, g, x); err != nil {
+			t.Fatal(err)
+		}
+		if i := diffBits(got, naiveMulVec(g, x)); i >= 0 {
+			t.Fatalf("MulVecInto %dx%d: entry %d differs from the one-chain loop", m, n, i)
+		}
+
+		// Cholesky.Factor of a symmetric block-diagonal matrix.
+		a := Zeros(n, n)
+		for i := 0; i < n; i++ {
+			for j := i / blk * blk; j <= i; j++ {
+				v := entry()
+				a.data[i*n+j], a.data[j*n+i] = v, v
+			}
+			if dominant {
+				a.data[i*n+i] = float64(blk) * (4 + rng.Float64())
+			}
+		}
+		want, wantCol, wantErr := naiveCholesky(a)
+		var c Cholesky
+		err := c.Factor(a)
+		if wantErr != nil {
+			if !errors.Is(err, ErrSingular) || !strings.Contains(err.Error(), fmt.Sprintf("column %d", wantCol)) {
+				t.Fatalf("n=%d: the reference failed at column %d, Factor returned %v", n, wantCol, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("n=%d: the reference succeeded, Factor returned %v", n, err)
+		}
+		if i := diffBits(c.l.data, want.data); i >= 0 {
+			t.Fatalf("n=%d: factor entry (%d,%d) differs from the one-chain loop", n, i/n, i%n)
+		}
+
+		// SolveVecInto, unaliased and aliased, against a right-hand side
+		// with exact ±0 entries and whole zero blocks.
+		b := make([]float64, n)
+		for i := range b {
+			switch r := rng.Intn(8); {
+			case r == 0 || zeroRHS && r < 4:
+				b[i] = math.Copysign(0, -1)
+			case r == 1 || zeroRHS || i/blk%3 == 1:
+				b[i] = 0
+			default:
+				b[i] = rng.NormFloat64()
+			}
+		}
+		wantX := naiveCholSolve(want, b)
+		gotX := make([]float64, n)
+		if err := c.SolveVecInto(gotX, b); err != nil {
+			t.Fatal(err)
+		}
+		if i := diffBits(gotX, wantX); i >= 0 {
+			t.Fatalf("n=%d: solve entry %d = %v, the one-chain loops give %v", n, i, gotX[i], wantX[i])
+		}
+		if err := c.SolveVecInto(b, b); err != nil {
+			t.Fatal(err)
+		}
+		if i := diffBits(b, wantX); i >= 0 {
+			t.Fatalf("n=%d: aliased solve entry %d = %v, the one-chain loops give %v", n, i, b[i], wantX[i])
 		}
 	})
 }

@@ -105,10 +105,12 @@ func (c *Cholesky) FactorFrom(a *Dense, src *Cholesky, p int, from []int) error 
 		// Bit-identical cache-tiled path for large systems (blocked.go).
 		return c.factorBlocked(a, l, n, p)
 	}
+	ad := a.data
 	for j := p; j < n; j++ {
-		d := a.data[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= ld[j*n+k] * ld[j*n+k]
+		rj := ld[j*n:][:j]
+		d := ad[j*n+j]
+		for _, v := range rj {
+			d -= v * v
 		}
 		if d <= 0 {
 			c.n = 0
@@ -116,15 +118,38 @@ func (c *Cholesky) FactorFrom(a *Dense, src *Cholesky, p int, from []int) error 
 		}
 		dj := math.Sqrt(d)
 		ld[j*n+j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= ld[i*n+k] * ld[j*n+k]
+		// Four rows per pass share row j's entries (DESIGN.md §3.10).
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			s0, s1, s2, s3 := sub4(ad[i*n+j], ad[(i+1)*n+j], ad[(i+2)*n+j], ad[(i+3)*n+j],
+				ld[i*n:], ld[(i+1)*n:], ld[(i+2)*n:], ld[(i+3)*n:], rj)
+			ld[i*n+j], ld[(i+1)*n+j], ld[(i+2)*n+j], ld[(i+3)*n+j] = s0/dj, s1/dj, s2/dj, s3/dj
+		}
+		for ; i < n; i++ {
+			ri := ld[i*n:][:j]
+			s := ad[i*n+j]
+			for k, v := range rj {
+				s -= ri[k] * v
 			}
 			ld[i*n+j] = s / dj
 		}
 	}
 	return nil
+}
+
+// sub4 subtracts from s0…s3 the products of the first len(v) entries of
+// rows r0…r3 with v: four independent chains sharing v's loads, each in
+// ascending k, so each ends exactly as a one-row loop would (DESIGN.md
+// §3.10).
+func sub4(s0, s1, s2, s3 float64, r0, r1, r2, r3, v []float64) (float64, float64, float64, float64) {
+	r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
+	for k, x := range v {
+		s0 -= r0[k] * x
+		s1 -= r1[k] * x
+		s2 -= r2[k] * x
+		s3 -= r3[k] * x
+	}
+	return s0, s1, s2, s3
 }
 
 // keepRows copies into l (n×n) the entries FactorFrom keeps from old, an
@@ -223,29 +248,76 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) error {
 	if len(dst) != c.n {
 		return dstLenErr("cholesky solve", len(dst), c.n)
 	}
-	n := c.n
-	// Forward: L*y = b.
+	n, ld := c.n, c.l.data
+	// Forward: L*y = b, four rows per pass. Their chains share y[0…i−1],
+	// then each finishes on the rows solved before it in the same pass, so
+	// every y[i] subtracts its products in ascending k (DESIGN.md §3.10).
 	y := dst
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0, s1, s2, s3 := sub4(b[i], b[i+1], b[i+2], b[i+3],
+			ld[i*n:], ld[(i+1)*n:], ld[(i+2)*n:], ld[(i+3)*n:], y[:i])
+		// t1…t3 are rows i+1…i+3 from column i on.
+		t1, t2, t3 := ld[(i+1)*n+i:], ld[(i+2)*n+i:], ld[(i+3)*n+i:]
+		y0 := s0 / ld[i*n+i]
+		s1 -= t1[0] * y0
+		y1 := s1 / t1[1]
+		s2 -= t2[0] * y0
+		s2 -= t2[1] * y1
+		y2 := s2 / t2[2]
+		s3 -= t3[0] * y0
+		s3 -= t3[1] * y1
+		s3 -= t3[2] * y2
+		y[i], y[i+1], y[i+2], y[i+3] = y0, y1, y2, s3/t3[3]
+	}
+	for ; i < n; i++ {
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.data[i*n+k] * y[k]
+		row := ld[i*n:][:i]
+		for k, v := range y[:i] {
+			s -= row[k] * v
 		}
-		y[i] = s / c.l.data[i*n+i]
+		y[i] = s / ld[i*n+i]
 	}
 	// Back: Lᵀ*x = y.
 	if n >= triSolveSaxpyMin {
-		for i := n - 1; i >= 0; i-- {
-			xi := y[i] / c.l.data[i*n+i]
+		// Two rows per pass, so each y[k] is loaded and stored once for
+		// both: row i's update of y[i−1] comes first, then both rows
+		// stream over y[0…i−2], each keeping its skip-zero test, so every
+		// y[k] still takes its updates in descending row order.
+		i := n - 1
+		for ; i >= 1; i -= 2 {
+			ri := ld[i*n:][:i+1]
+			xi := y[i] / ri[i]
 			y[i] = xi
 			//lint:ignore floateq skip-zero fast path is exact: only true zeros skip
-			if xi == 0 {
-				continue
+			if xi != 0 {
+				y[i-1] -= ri[i-1] * xi
 			}
-			row := c.l.data[i*n : i*n+i]
-			for k, lik := range row {
-				y[k] -= lik * xi
+			rj := ld[(i-1)*n:][:i]
+			xj := y[i-1] / rj[i-1]
+			y[i-1] = xj
+			yk := y[:i-1]
+			ri, rj = ri[:i-1], rj[:i-1]
+			switch {
+			//lint:ignore floateq skip-zero fast path is exact: only true zeros skip
+			case xi != 0 && xj != 0:
+				for k := range yk {
+					yk[k] = yk[k] - ri[k]*xi - rj[k]*xj
+				}
+			//lint:ignore floateq skip-zero fast path is exact: only true zeros skip
+			case xi != 0:
+				for k, lik := range ri {
+					yk[k] -= lik * xi
+				}
+			//lint:ignore floateq skip-zero fast path is exact: only true zeros skip
+			case xj != 0:
+				for k, ljk := range rj {
+					yk[k] -= ljk * xj
+				}
 			}
+		}
+		if i == 0 {
+			y[0] /= ld[0]
 		}
 		return nil
 	}

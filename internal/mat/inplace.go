@@ -105,8 +105,26 @@ func MulVecInto(dst []float64, a *Dense, x []float64) error {
 	if len(dst) != a.rows {
 		return dstLenErr("mulvec", len(dst), a.rows)
 	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
+	// Four rows per pass keep four independent chains in flight; each
+	// dst[i] still sums its own products in ascending j (DESIGN.md §3.10).
+	n := len(x)
+	i := 0
+	for ; i+4 <= a.rows; i += 4 {
+		r0 := a.data[i*n:][:n]
+		r1 := a.data[(i+1)*n:][:n]
+		r2 := a.data[(i+2)*n:][:n]
+		r3 := a.data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < a.rows; i++ {
+		row := a.data[i*n:][:n]
 		var s float64
 		for j, v := range row {
 			s += v * x[j]

@@ -320,6 +320,22 @@ func TestMatOpsAllocFree(t *testing.T) {
 	if err := lu.Factor(a); err == nil {
 		// fine; singularity is astronomically unlikely with this seed
 	}
+	// A 144-variable SPD system, the grid-c8n6 QP's size: the blocked
+	// Cholesky and the row-streaming back sweep.
+	const ns = 144
+	spd := randDense(rng, ns, ns)
+	for i := 0; i < ns; i++ {
+		for j := 0; j < i; j++ {
+			spd.data[j*ns+i] = spd.data[i*ns+j]
+		}
+		spd.data[i*ns+i] = 4 * ns
+	}
+	xs := randVec(rng, ns)
+	sdst := make([]float64, ns)
+	var ch Cholesky
+	if err := ch.Factor(spd); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := MulInto(dst, a, b); err != nil {
 			t.Fatal(err)
@@ -335,6 +351,12 @@ func TestMatOpsAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := lu.SolveVecInto(vdst, x); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.Factor(spd); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.SolveVecInto(sdst, xs); err != nil {
 			t.Fatal(err)
 		}
 	})

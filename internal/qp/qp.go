@@ -140,10 +140,11 @@ type Workspace struct {
 	hChol  *mat.Cholesky
 	hReady bool
 	// nIDs is the constraint-id space (mEq + mIn) of the problem this
-	// workspace serves, fixed on the first solve; it sizes the id-indexed
-	// caches below. Ids are dense small integers (equalities 0…mEq−1, then
-	// inequalities mEq+i), so flat arrays replace the previous maps — map
-	// hashing was the single largest cost of the steady-state solve.
+	// workspace serves, fixed on the first solve once the rows are checked
+	// finite; it sizes the id-indexed caches below. Ids are dense small
+	// integers (equalities 0…mEq−1, then inequalities mEq+i), so flat
+	// arrays replace the previous maps — map hashing was the single
+	// largest cost of the steady-state solve.
 	nIDs int
 	// zByID caches H⁻¹aᵢ per working-set row id (nil = not yet computed).
 	zByID [][]float64
@@ -239,7 +240,8 @@ func (p *Problem) rowDot(mEq, id int, x []float64) float64 {
 }
 
 // Validate checks dimensional consistency and that every data vector
-// (Q, Beq, Bin, X0) is finite.
+// (Q, Beq, Bin, X0) is finite. SolveWith checks the matrices H, Aeq and
+// Ain once per workspace, since they are fixed for its lifetime.
 func (p *Problem) Validate() error {
 	var n int
 	if p.form != nil && p.form.structured() {
@@ -315,6 +317,23 @@ func checkFiniteDense(name string, m *mat.Dense) error {
 	return nil
 }
 
+// checkFiniteRows is checkFiniteDense for compressed rows, which store
+// every entry that is not an exact zero, so every NaN and ±Inf.
+func checkFiniteRows(name string, a *mat.SparseRows) error {
+	if a == nil {
+		return nil
+	}
+	for i := 0; i < a.Rows(); i++ {
+		idx, val := a.RowNNZ(i)
+		for k, x := range val {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%s[%d][%d] = %v: %w", name, i, idx[k], x, ErrBadProblem)
+			}
+		}
+	}
+	return nil
+}
+
 // Objective evaluates ½ xᵀH x + qᵀx.
 func (p *Problem) Objective(x []float64) float64 {
 	hx, err := mat.MulVec(p.H, x)
@@ -347,6 +366,35 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 		//lint:ignore hotalloc cold path: steady-state callers pass a warm workspace
 		ws = NewWorkspace() // per-call scratch: no reuse, same arithmetic
 	}
+	mEq := 0
+	if p.Aeq != nil {
+		mEq = p.Aeq.Rows()
+	}
+	mIn := 0
+	if p.Ain != nil {
+		mIn = p.Ain.Rows()
+	}
+	if need := mEq + mIn; ws.nIDs < need {
+		// The constraint set is fixed for the workspace's lifetime (see the
+		// reuse contract above), so its rows are checked and the id-indexed
+		// caches sized once. The check comes first: the start point's
+		// feasibility test and the phase-1 LP read the rows, and a NaN or
+		// ±Inf entry came back from either as a wrong x with a nil error.
+		if err := checkFiniteRows("Aeq", p.Aeq); err != nil {
+			return nil, err
+		}
+		if err := checkFiniteRows("Ain", p.Ain); err != nil {
+			return nil, err
+		}
+		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
+		ws.zByID = make([][]float64, need)
+		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
+		ws.schurV = make([]float64, pairIndex(0, need))
+		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
+		ws.schurSet = make([]bool, pairIndex(0, need))
+		ws.nIDs = need
+	}
+
 	n := p.dim()
 	ws.x0buf = mat.GrowVec(ws.x0buf, n)
 	x := ws.x0buf
@@ -370,26 +418,6 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 			return nil, err
 		}
 		x = fx
-	}
-
-	mEq := 0
-	if p.Aeq != nil {
-		mEq = p.Aeq.Rows()
-	}
-	mIn := 0
-	if p.Ain != nil {
-		mIn = p.Ain.Rows()
-	}
-	if need := mEq + mIn; ws.nIDs < need {
-		// The id-indexed caches are sized once: the constraint set is fixed
-		// for the workspace's lifetime (see the reuse contract above).
-		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
-		ws.zByID = make([][]float64, need)
-		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
-		ws.schurV = make([]float64, pairIndex(0, need))
-		//lint:ignore hotalloc sized on the first solve through the workspace, then reused
-		ws.schurSet = make([]bool, pairIndex(0, need))
-		ws.nIDs = need
 	}
 
 	// H is constant across active-set iterations (and across every solve
@@ -698,16 +726,30 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workIDs []int, grad []floa
 		}
 		return dir, lam, nil
 	}
+	// Two nonzero multipliers per pass, so each dir[t] is loaded and
+	// stored once for both; it still subtracts its λᵢ·zᵢ[t] terms in
+	// ascending i (mat's chain rule, DESIGN.md §3.10).
 	copy(dir, y)
-	for i := 0; i < k; i++ {
-		li := lam[i]
+	pend := -1 // a nonzero multiplier waiting for its pass partner
+	for i, li := range lam {
 		//lint:ignore floateq skip-zero fast path is exact by design: only true zeros skip
 		if li == 0 {
 			continue
 		}
-		zi := z[i]
-		for t := 0; t < n; t++ {
-			dir[t] -= li * zi[t]
+		if pend < 0 {
+			pend = i
+			continue
+		}
+		lp, zp, zi := lam[pend], z[pend][:len(dir)], z[i][:len(dir)]
+		for t := range dir {
+			dir[t] = dir[t] - lp*zp[t] - li*zi[t]
+		}
+		pend = -1
+	}
+	if pend >= 0 {
+		lp := lam[pend]
+		for t, v := range z[pend][:len(dir)] {
+			dir[t] -= lp * v
 		}
 	}
 	return dir, lam, nil

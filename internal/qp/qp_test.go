@@ -96,7 +96,10 @@ func TestValidate(t *testing.T) {
 // where a bad residual d reaches q. Without the check such a solve returned
 // a wrong or NaN x with a nil error. So did a NaN or ±Inf in H, which
 // SolveWith rejects where it factors H, naming the entry; through
-// SolveLSWith a bad regularization weight wr reaches H alone.
+// SolveLSWith a bad regularization weight wr reaches H alone. And so did one
+// in Aeq or Ain, with or without a start point: SolveWith rejects it, naming
+// the entry, before the start point's feasibility test or the phase-1 LP
+// reads the rows.
 func TestSolveRejectsNonFinite(t *testing.T) {
 	// min ½‖x‖² − x₁ − x₂ s.t. x₁ + x₂ = 1, x ≤ 1, from the feasible
 	// [0.5 0.5], which is also the minimizer. As a least-squares problem:
@@ -193,6 +196,62 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 				wantErr(t, err, fmt.Sprintf("H[%d][%d]", i, i))
 			})
 		}
+		rows := []struct {
+			name string
+			a    func(*Problem) **mat.SparseRows
+			lsA  func(*LSProblem) **mat.SparseRows
+		}{
+			{"Aeq", func(p *Problem) **mat.SparseRows { return &p.Aeq }, func(l *LSProblem) **mat.SparseRows { return &l.Aeq }},
+			{"Ain", func(p *Problem) **mat.SparseRows { return &p.Ain }, func(l *LSProblem) **mat.SparseRows { return &l.Ain }},
+		}
+		for _, rw := range rows {
+			a := *rw.a(problem())
+			for i := 0; i < a.Rows(); i++ {
+				for j := 0; j < a.Cols(); j++ {
+					name := fmt.Sprintf("%s[%d][%d]", rw.name, i, j)
+					set := func(a **mat.SparseRows) {
+						d := dense(*a)
+						d.Set(i, j, v)
+						*a = mat.SparseRowsFrom(d)
+					}
+					for _, x0 := range []bool{true, false} {
+						t.Run(fmt.Sprintf("Solve/x0=%t/%s=%v", x0, name, v), func(t *testing.T) {
+							p := problem()
+							set(rw.a(p))
+							if !x0 {
+								p.X0 = nil
+							}
+							_, err := Solve(p)
+							wantErr(t, err, name)
+						})
+					}
+					for _, f := range []*LSForm{nil, form} {
+						t.Run(fmt.Sprintf("SolveLSWith/form=%t/%s=%v", f != nil, name, v), func(t *testing.T) {
+							l := lsProblem()
+							set(rw.lsA(l))
+							_, err := SolveLSWith(l, f, NewWorkspace())
+							wantErr(t, err, name)
+						})
+					}
+				}
+			}
+		}
+	}
+	// The one-variable cases: a NaN row entry was ignored, returning the
+	// unconstrained minimizer x = [10] with a nil error, or held the start
+	// x = [0].
+	for _, tc := range []struct {
+		name, want string
+		p          *Problem
+	}{
+		{"Ain", "Ain[0][0]", &Problem{H: mat.Identity(1), Q: []float64{-10}, Ain: sparse(1, 1, math.NaN()), Bin: []float64{1}}},
+		{"Ain/x0", "Ain[0][0]", &Problem{H: mat.Identity(1), Q: []float64{-10}, Ain: sparse(1, 1, math.NaN()), Bin: []float64{1}, X0: []float64{0}}},
+		{"Aeq/x0", "Aeq[0][0]", &Problem{H: mat.Identity(1), Q: []float64{-10}, Aeq: sparse(1, 1, math.NaN()), Beq: []float64{1}, X0: []float64{0}}},
+	} {
+		t.Run("Solve/1-var/"+tc.name, func(t *testing.T) {
+			_, err := Solve(tc.p)
+			wantErr(t, err, tc.want)
+		})
 	}
 }
 
