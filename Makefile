@@ -39,10 +39,12 @@
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
-#   make fuzz-smoke — each internal/mat fuzzer for 10 s past its seed
-#                  corpus (about 70 s in all): the bit-identity fuzzers of
-#                  the blocked and chain-interleaved kernels against their
-#                  reference loops. `go test` alone runs only the seeds.
+#   make fuzz-smoke — each internal/mat and internal/lp fuzzer for 10 s
+#                  past its seed corpus (about 90 s in all): the
+#                  bit-identity fuzzers of the blocked and chain-interleaved
+#                  kernels and of the support-restricted simplex tableau
+#                  against their reference loops, and the LP input gate.
+#                  `go test` alone runs only the seeds.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
 #                  Runs with -short: the dense C50×N20 control bench (a
@@ -50,9 +52,10 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR18.json
-BENCH_REF ?= BENCH_PR18.json
+BENCH_JSON ?= BENCH_PR20.json
+BENCH_REF ?= BENCH_PR20.json
 MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
+LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
 
 .PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke
 
@@ -87,6 +90,10 @@ fuzz-smoke:
 	@for f in $(MAT_FUZZ); do \
 		echo "$$f"; \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/mat || exit 1; \
+	done
+	@for f in $(LP_FUZZ); do \
+		echo "$$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/lp || exit 1; \
 	done
 
 bench:

@@ -344,7 +344,7 @@ func transportLP(c, n int) *lp.Problem {
 		}
 		bub[j] = total // loose caps keep it feasible
 	}
-	return &lp.Problem{C: cost, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub}
+	return &lp.Problem{C: cost, Aeq: mat.SparseRowsFrom(aeq), Beq: beq, Aub: mat.SparseRowsFrom(aub), Bub: bub}
 }
 
 // BenchmarkQPActiveSet measures the active-set QP on a box-constrained

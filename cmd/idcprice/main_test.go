@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/price"
 )
 
 func TestEmbeddedCSV(t *testing.T) {
@@ -52,6 +55,24 @@ func TestStochasticDeterministic(t *testing.T) {
 	}
 	if mk() != mk() {
 		t.Fatal("stochastic output not reproducible under fixed seed")
+	}
+}
+
+// TestStochasticNonFiniteFails pins that a bad model setting fails the run
+// (exit 1) instead of printing NaN or ±Inf prices, or, for -sigma NaN,
+// the noise-free series.
+func TestStochasticNonFiniteFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-load", "NaN"},
+		{"-sensitivity", "Inf"},
+		{"-sigma", "1e308"},
+		{"-sigma", "NaN"},
+	} {
+		var buf bytes.Buffer
+		err := run(append([]string{"-stochastic", "-hours", "3"}, args...), &buf)
+		if !errors.Is(err, price.ErrNonFinite) {
+			t.Errorf("%v: error %v, want price.ErrNonFinite; output:\n%s", args, err, buf.String())
+		}
 	}
 }
 

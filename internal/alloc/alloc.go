@@ -156,10 +156,18 @@ func optimizeBudgets(top *idc.Topology, prices, demands, budgets []float64, solv
 			sum(demands), sum(top.Capacities()), ErrInfeasible)
 	}
 
-	// Variables: U (NC entries) then m (N entries).
+	// Variables: U (NC entries) then m (N entries). The LP takes
+	// compressed rows, built row by row below. One []int holds both
+	// matrices' row starts and column indices, and one []float64 the cost,
+	// their values and Bub, each sized up front.
 	nu := top.NU()
 	nv := nu + n
-	cost := make([]float64, nv)
+	mUb := 2*n + nBudget
+	nnzEq := c * n
+	nnzUb := (n+nBudget)*(c+1) + n
+	ints := make([]int, c+1+nnzEq+mUb+1+nnzUb)
+	floats := make([]float64, nv+nnzEq+nnzUb+mUb)
+	cost, floats := floats[:nv:nv], floats[nv:]
 	for j := 0; j < n; j++ {
 		d := top.IDC(j)
 		// Price floor at zero: with negative prices the LP would pump load
@@ -176,43 +184,68 @@ func optimizeBudgets(top *idc.Topology, prices, demands, budgets []float64, solv
 		cost[nu+j] = pr * d.Power.B0
 	}
 
-	// Conservation equalities on the U block.
-	consH, consRHS, err := top.Conservation(demands)
-	if err != nil {
-		return nil, err
+	// Each row lists its U entries (U's column j·C + i) before its server
+	// count (column NU + j), so its columns ascend. The appends below stay
+	// within the capacities carved here.
+	//
+	// Conservation equalities on the U block (eqs. (26)–(29)): row i sums
+	// portal i's allocation across IDCs to demand L_i. The LP neither keeps
+	// nor writes Beq, so the demands go in without a copy.
+	eqStart, eqIdx := ints[:1:c+1], ints[c+1:c+1:c+1+nnzEq]
+	eqVal := floats[:0:nnzEq]
+	for i := 0; i < c; i++ {
+		for j := 0; j < n; j++ {
+			eqIdx = append(eqIdx, top.Index(i, j))
+			eqVal = append(eqVal, 1)
+		}
+		eqStart = append(eqStart, len(eqIdx))
 	}
-	aeq := mat.Zeros(c, nv)
-	aeq.SetBlock(0, 0, consH)
+	var rows [2]mat.SparseRows
+	var err error
+	if rows[0], err = mat.MakeSparseRows(nv, eqStart, eqIdx, eqVal); err != nil {
+		return nil, fmt.Errorf("alloc: %w", err)
+	}
 
 	// Inequalities: latency coupling (N rows), m ≤ M (N rows), then one
 	// power-budget row per budgeted IDC.
-	aub := mat.Zeros(2*n+nBudget, nv)
-	bub := make([]float64, 2*n+nBudget)
+	ints, floats = ints[c+1+nnzEq:], floats[nnzEq:]
+	ubStart, ubIdx := ints[:1:mUb+1], ints[mUb+1:mUb+1]
+	ubVal, bub := floats[:0:nnzUb], floats[nnzUb:nnzUb]
+	// addU appends coef·Σᵢ λᵢⱼ to the row being built; endRow appends
+	// mCoef·mⱼ and closes the row with right-hand side rhs.
+	addU := func(j int, coef float64) {
+		for i := 0; i < c; i++ {
+			ubIdx = append(ubIdx, top.Index(i, j))
+			ubVal = append(ubVal, coef)
+		}
+	}
+	endRow := func(j int, mCoef, rhs float64) {
+		ubIdx = append(ubIdx, nu+j)
+		ubVal = append(ubVal, mCoef)
+		ubStart = append(ubStart, len(ubIdx))
+		bub = append(bub, rhs)
+	}
 	for j := 0; j < n; j++ {
 		d := top.IDC(j)
-		for i := 0; i < c; i++ {
-			aub.Set(j, top.Index(i, j), 1)
-		}
-		aub.Set(j, nu+j, -d.ServiceRate)
-		bub[j] = -1 / d.DelayBound
-		aub.Set(n+j, nu+j, 1)
-		bub[n+j] = float64(d.TotalServers)
+		addU(j, 1)
+		endRow(j, -d.ServiceRate, -1/d.DelayBound)
 	}
-	row := 2 * n
+	for j := 0; j < n; j++ {
+		endRow(j, 1, float64(top.IDC(j).TotalServers))
+	}
 	for j := 0; j < n; j++ {
 		if budgets == nil || budgets[j] <= 0 {
 			continue
 		}
 		d := top.IDC(j)
-		for i := 0; i < c; i++ {
-			aub.Set(row, top.Index(i, j), d.Power.B1)
-		}
-		aub.Set(row, nu+j, d.Power.B0)
-		bub[row] = budgets[j]
-		row++
+		addU(j, d.Power.B1)
+		endRow(j, d.Power.B0, budgets[j])
+	}
+	if rows[1], err = mat.MakeSparseRows(nv, ubStart, ubIdx, ubVal); err != nil {
+		return nil, fmt.Errorf("alloc: %w", err)
 	}
 
-	prob := &lp.Problem{C: cost, Aeq: aeq, Beq: consRHS, Aub: aub, Bub: bub}
+	prob := &lp.Problem{C: cost, Aeq: &rows[0], Beq: demands, Aub: &rows[1], Bub: bub}
 	var res *lp.Result
 	if solver != nil {
 		res, err = solver.Solve(prob)

@@ -51,34 +51,36 @@ func sparseLP(rng *rand.Rand, n, mEq, mUb int, box bool) *Problem {
 	}
 	p := &Problem{C: c}
 	if mEq > 0 {
-		p.Aeq = mat.Zeros(mEq, n)
+		aeq := mat.Zeros(mEq, n)
 		p.Beq = make([]float64, mEq)
 		for r := 0; r < mEq; r++ {
 			for j := 0; j < n; j++ {
-				p.Aeq.Set(r, j, entry())
+				aeq.Set(r, j, entry())
 			}
 			p.Beq[r] = 4*rng.Float64() - 1
 		}
+		p.Aeq = sparse(aeq)
 	}
 	rows := mUb
 	if box {
 		rows++
 	}
 	if rows > 0 {
-		p.Aub = mat.Zeros(rows, n)
+		aub := mat.Zeros(rows, n)
 		p.Bub = make([]float64, rows)
 		for r := 0; r < mUb; r++ {
 			for j := 0; j < n; j++ {
-				p.Aub.Set(r, j, entry())
+				aub.Set(r, j, entry())
 			}
 			p.Bub[r] = 6*rng.Float64() - 2
 		}
 		if box {
 			for j := 0; j < n; j++ {
-				p.Aub.Set(mUb, j, 1)
+				aub.Set(mUb, j, 1)
 			}
 			p.Bub[mUb] = 10 * float64(n)
 		}
+		p.Aub = sparse(aub)
 	}
 	return p
 }
@@ -118,7 +120,7 @@ func phase1LP(rng *rand.Rand, n, mEq, mIn int) *Problem {
 		aub.Set(i, 2*n+i, -1)
 		bub[i] = rng.Float64() - 0.3
 	}
-	return &Problem{C: c, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub}
+	return &Problem{C: c, Aeq: sparse(aeq), Beq: beq, Aub: sparse(aub), Bub: bub}
 }
 
 // denseTableauBits is the FNV-64a hash of the corpus in
@@ -178,11 +180,11 @@ func TestDenseTableauBitsUnchanged(t *testing.T) {
 		// zero on every ≤ row): every pivot runs under Bland's rule.
 		solve(&Problem{
 			C: []float64{-0.75, 150, -0.02, 6},
-			Aub: mat.MustNew(3, 4, []float64{
+			Aub: sparse(mat.MustNew(3, 4, []float64{
 				0.25, -60, -1.0 / 25, 9,
 				0.5, -90, -1.0 / 50, 3,
 				0, 0, 1, 0,
-			}),
+			})),
 			Bub: []float64{0, 0, 1},
 		})
 		for trial := 0; trial < 10; trial++ {

@@ -63,9 +63,9 @@ func FuzzLPValidate(f *testing.F) {
 		mUb := int(r.byte() % 4)
 		p := &Problem{
 			C:   r.floats(n),
-			Aeq: r.matrix(mEq, max(n, 1)),
+			Aeq: sparse(r.matrix(mEq, max(n, 1))),
 			Beq: r.floats(mEq),
-			Aub: r.matrix(mUb, max(n, 1)),
+			Aub: sparse(r.matrix(mUb, max(n, 1))),
 			Bub: r.floats(mUb),
 		}
 		if err := p.Validate(); err != nil {
@@ -95,8 +95,8 @@ func FuzzLPValidate(f *testing.F) {
 			}
 		}
 		if p.Aeq != nil {
-			ax, aerr := mat.MulVec(p.Aeq, res.X)
-			if aerr != nil {
+			ax := make([]float64, p.Aeq.Rows())
+			if aerr := p.Aeq.MulVecInto(ax, res.X); aerr != nil {
 				t.Fatal(aerr)
 			}
 			for i := range ax {
@@ -106,8 +106,8 @@ func FuzzLPValidate(f *testing.F) {
 			}
 		}
 		if p.Aub != nil {
-			ax, aerr := mat.MulVec(p.Aub, res.X)
-			if aerr != nil {
+			ax := make([]float64, p.Aub.Rows())
+			if aerr := p.Aub.MulVecInto(ax, res.X); aerr != nil {
 				t.Fatal(aerr)
 			}
 			for i := range ax {
@@ -138,12 +138,13 @@ func moderate(p *Problem) bool {
 			return false
 		}
 	}
-	for _, m := range []*mat.Dense{p.Aeq, p.Aub} {
+	for _, m := range []*mat.SparseRows{p.Aeq, p.Aub} {
 		if m == nil {
 			continue
 		}
 		for i := 0; i < m.Rows(); i++ {
-			for _, v := range m.Row(i) {
+			_, val := m.RowNNZ(i)
+			for _, v := range val {
 				if !ok(v) {
 					return false
 				}

@@ -24,7 +24,7 @@ func TestPropertyScalingInvariance(t *testing.T) {
 		for j := 0; j < n; j++ {
 			aeq.Set(0, j, 1)
 		}
-		base := &Problem{C: c, Aeq: aeq, Beq: []float64{7}}
+		base := &Problem{C: c, Aeq: sparse(aeq), Beq: []float64{7}}
 		r1, err := Solve(base)
 		if err != nil || r1.Status != Optimal {
 			return false
@@ -34,7 +34,7 @@ func TestPropertyScalingInvariance(t *testing.T) {
 		for i := range cs {
 			cs[i] = 3.5 * c[i]
 		}
-		r2, err := Solve(&Problem{C: cs, Aeq: aeq, Beq: []float64{7}})
+		r2, err := Solve(&Problem{C: cs, Aeq: sparse(aeq), Beq: []float64{7}})
 		if err != nil || r2.Status != Optimal {
 			return false
 		}
@@ -46,7 +46,7 @@ func TestPropertyScalingInvariance(t *testing.T) {
 		for j := 0; j < n; j++ {
 			aeq2.Set(0, j, 2)
 		}
-		r3, err := Solve(&Problem{C: c, Aeq: aeq2, Beq: []float64{14}})
+		r3, err := Solve(&Problem{C: c, Aeq: sparse(aeq2), Beq: []float64{14}})
 		if err != nil || r3.Status != Optimal {
 			return false
 		}
@@ -73,12 +73,12 @@ func TestPropertyTransportationOptimal(t *testing.T) {
 		d2 := s1 + s2 - d1
 		p := &Problem{
 			C: cost[:],
-			Aeq: mat.MustNew(4, 4, []float64{
+			Aeq: sparse(mat.MustNew(4, 4, []float64{
 				1, 1, 0, 0,
 				0, 0, 1, 1,
 				1, 0, 1, 0,
 				0, 1, 0, 1,
-			}),
+			})),
 			Beq: []float64{s1, s2, d1, d2},
 		}
 		res, err := Solve(p)
@@ -129,7 +129,7 @@ func TestManyVariablesBoundedBox(t *testing.T) {
 		aub.Set(n, j, 1)
 	}
 	bub[n] = 10 // Σx ≤ 10
-	res, err := Solve(&Problem{C: c, Aub: aub, Bub: bub})
+	res, err := Solve(&Problem{C: c, Aub: sparse(aub), Bub: bub})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestEqualityWithNegativeRHS(t *testing.T) {
 	// Row normalization path: Aeq row with negative rhs.
 	p := &Problem{
 		C:   []float64{1, 1},
-		Aeq: mat.MustNew(1, 2, []float64{-1, -1}),
+		Aeq: sparse(mat.MustNew(1, 2, []float64{-1, -1})),
 		Beq: []float64{-5},
 	}
 	res, err := Solve(p)
@@ -178,7 +178,7 @@ func TestEqualityWithNegativeRHS(t *testing.T) {
 func TestIterationsReported(t *testing.T) {
 	p := &Problem{
 		C:   []float64{-1, -1},
-		Aub: mat.MustNew(2, 2, []float64{1, 2, 3, 1}),
+		Aub: sparse(mat.MustNew(2, 2, []float64{1, 2, 3, 1})),
 		Bub: []float64{4, 6},
 	}
 	res, err := Solve(p)
@@ -196,7 +196,7 @@ func TestDualsKnownProblem(t *testing.T) {
 	// minimization sign convention (obj decreases as capacity grows).
 	p := &Problem{
 		C:   []float64{-1, -1},
-		Aub: mat.MustNew(2, 2, []float64{1, 2, 3, 1}),
+		Aub: sparse(mat.MustNew(2, 2, []float64{1, 2, 3, 1})),
 		Bub: []float64{4, 6},
 	}
 	res, err := Solve(p)
@@ -224,7 +224,7 @@ func TestDualsEqualityShadowPrice(t *testing.T) {
 	// coefficient): one more unit of demand costs $2.
 	p := &Problem{
 		C:   []float64{2, 3},
-		Aeq: mat.MustNew(1, 2, []float64{1, 1}),
+		Aeq: sparse(mat.MustNew(1, 2, []float64{1, 1})),
 		Beq: []float64{10},
 	}
 	res, err := Solve(p)
@@ -251,12 +251,12 @@ func TestPropertyStrongDuality(t *testing.T) {
 			aeq.Set(0, j, 1)
 		}
 		b0 := 5 + 5*r.Float64()
-		r1, err := Solve(&Problem{C: c, Aeq: aeq, Beq: []float64{b0}})
+		r1, err := Solve(&Problem{C: c, Aeq: sparse(aeq), Beq: []float64{b0}})
 		if err != nil || r1.Status != Optimal {
 			return false
 		}
 		eps := 0.01
-		r2, err := Solve(&Problem{C: c, Aeq: aeq, Beq: []float64{b0 + eps}})
+		r2, err := Solve(&Problem{C: c, Aeq: sparse(aeq), Beq: []float64{b0 + eps}})
 		if err != nil || r2.Status != Optimal {
 			return false
 		}

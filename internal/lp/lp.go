@@ -10,13 +10,15 @@
 // (Rao et al., INFOCOM'10 — eq. (46) of the paper) and as the "optimal
 // method" baseline in the experiments. Problems in this project are small
 // (tens of variables), so a dense tableau with Bland anti-cycling is both
-// simple and robust.
+// simple and robust. The constraint rows come in compressed (mat.SparseRows)
+// and the tableau does its arithmetic only where a row can be nonzero.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/mat"
 )
@@ -60,15 +62,17 @@ var ErrBadProblem = errors.New("lp: malformed problem")
 
 // Problem is a linear program in the package's canonical form. Any of the
 // constraint groups may be nil/empty. By default all variables are
-// nonnegative; Lo/Hi override that per variable.
+// nonnegative; Lo/Hi override that per variable. The constraint matrices
+// are compressed rows: mat.SparseRowsFrom compresses a dense matrix, and
+// mat.MakeSparseRows takes rows built directly.
 type Problem struct {
 	// C is the cost vector; its length fixes the number of variables.
 	C []float64
 	// Aeq, Beq define equality constraints Aeq·x = Beq.
-	Aeq *mat.Dense
+	Aeq *mat.SparseRows
 	Beq []float64
 	// Aub, Bub define inequality constraints Aub·x ≤ Bub.
-	Aub *mat.Dense
+	Aub *mat.SparseRows
 	Bub []float64
 	// Lo, Hi optionally give per-variable bounds lo ≤ x ≤ hi. Nil means the
 	// default x ≥ 0 for every variable (Lo all zero, Hi all +Inf); non-nil
@@ -117,7 +121,8 @@ type Result struct {
 	DualsUb []float64
 }
 
-// Validate checks dimensional consistency.
+// Validate checks dimensional consistency and that every number is finite
+// (upper bounds may be +Inf).
 func (p *Problem) Validate() error {
 	n := len(p.C)
 	if n == 0 {
@@ -147,6 +152,16 @@ func (p *Problem) Validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("C[%d] = %v: %w", i, v, ErrBadProblem)
 		}
+	}
+	// A NaN or ±Inf entry came back as a wrong status or x with a nil error,
+	// and the tableau's support rule (pivot) holds only for finite entries.
+	// Compressed rows store every entry that is not an exact zero, so this
+	// reads each of them once.
+	if err := checkFiniteRows("Aeq", p.Aeq); err != nil {
+		return err
+	}
+	if err := checkFiniteRows("Aub", p.Aub); err != nil {
+		return err
 	}
 	for i, v := range p.Beq {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -183,6 +198,31 @@ func (p *Problem) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkFiniteRows returns ErrBadProblem naming the first NaN or ±Inf entry
+// of the matrix called name.
+func checkFiniteRows(name string, a *mat.SparseRows) error {
+	if a == nil {
+		return nil
+	}
+	for i := 0; i < a.Rows(); i++ {
+		idx, val := a.RowNNZ(i)
+		for k, v := range val {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%s[%d][%d] = %v: %w", name, i, idx[k], v, ErrBadProblem)
+			}
+		}
+	}
+	return nil
+}
+
+// rowCount returns a's row count; a nil matrix has none.
+func rowCount(a *mat.SparseRows) int {
+	if a == nil {
+		return 0
+	}
+	return a.Rows()
 }
 
 const (
@@ -260,11 +300,20 @@ func SolveMethod(p *Problem, m Method) (*Result, error) {
 // slacks, artificials), plus a rhs column. It moves by pointer: a by-value
 // copy would share the row storage with the original.
 //
+// Every row carries a support bitset over its columns, rhs excluded: a
+// superset of the columns where the row is nonzero. The pivot and the
+// pricing loop work only over it (DESIGN §3.5).
+//
 //lint:nocopy
 type tableau struct {
 	// a holds m rows of length nTotal+1 (last = rhs), cut from one backing
 	// slab.
-	a      [][]float64
+	a [][]float64
+	// sup holds row r's support in sup[r*words : (r+1)*words]: bit j%64 of
+	// word j/64 is set wherever a[r][j] may be nonzero. Bits are set by the
+	// fill and by pivot, and never cleared.
+	sup    []uint64
+	words  int
 	basis  []int // basis[r] = column basic in row r
 	nOrig  int
 	nSlack int
@@ -277,22 +326,22 @@ type tableau struct {
 	iters  int
 	// artStart is the column index of the first artificial variable.
 	artStart int
-	// phase2Cost is the original objective padded with zeros to tableau width.
+	// phase2Cost is the original objective padded with zeros to tableau
+	// width; phase1Cost is 1 on the artificials and 0 elsewhere.
 	phase2Cost []float64
+	phase1Cost []float64
 	// flipped[r] records rows negated during rhs normalization (their dual
 	// price changes sign).
 	flipped []bool
 	// artOfRow[r] is the artificial column created for row r, or −1.
 	artOfRow []int
 	// basicMark[j] mirrors basis membership during iterate so the pricing
-	// loop tests O(1) per column instead of scanning basis (O(m)); lazily
-	// sized, rebuilt at the top of each iterate call and maintained across
-	// pivots.
+	// loop tests O(1) per column instead of scanning basis (O(m)); rebuilt
+	// at the top of each iterate call and maintained across pivots.
 	basicMark []bool
 	// rc holds the reduced cost of every column under the current basis,
-	// recomputed at each pivot of iterate; lazily sized like basicMark. When
-	// iterate returns Optimal it holds the final basis's reduced costs,
-	// which duals reads.
+	// recomputed at each pivot of iterate. When iterate returns Optimal it
+	// holds the final basis's reduced costs, which duals reads.
 	rc []float64
 	// blandPivots counts pivots taken under Bland's anti-cycling rule, across
 	// the tableau's lifetime. Observability for the degenerate-warm-start test.
@@ -301,14 +350,7 @@ type tableau struct {
 
 func newTableau(p *Problem) *tableau {
 	nOrig := len(p.C)
-	mEq := 0
-	if p.Aeq != nil {
-		mEq = p.Aeq.Rows()
-	}
-	mUb := 0
-	if p.Aub != nil {
-		mUb = p.Aub.Rows()
-	}
+	mEq, mUb := rowCount(p.Aeq), rowCount(p.Aub)
 	m := mEq + mUb
 	nSlack := mUb
 	// Every equality row needs an artificial, and so does every ≤ row with
@@ -320,39 +362,56 @@ func newTableau(p *Problem) *tableau {
 		}
 	}
 	nTotal := nOrig + nSlack + nArt
+	words := (nTotal + 63) / 64
+	ints := make([]int, 2*m)
+	flags := make([]bool, m+nTotal)
 	t := &tableau{
-		a:        make([][]float64, m),
-		basis:    make([]int, m),
-		nOrig:    nOrig,
-		nSlack:   nSlack,
-		nTotal:   nTotal,
-		m:        m,
-		mEq:      mEq,
-		artStart: nOrig + nSlack,
-		flipped:  make([]bool, m),
-		artOfRow: make([]int, m),
+		a:         make([][]float64, m),
+		sup:       make([]uint64, m*words),
+		words:     words,
+		basis:     ints[:m:m],
+		nOrig:     nOrig,
+		nSlack:    nSlack,
+		nTotal:    nTotal,
+		m:         m,
+		mEq:       mEq,
+		artStart:  nOrig + nSlack,
+		flipped:   flags[:m:m],
+		artOfRow:  ints[m:],
+		basicMark: flags[m:],
 	}
+	// One slab holds the rows, then the phase-2 cost, the phase-1 cost and
+	// the reduced costs.
 	w := nTotal + 1
-	slab := make([]float64, m*w)
+	slab := make([]float64, m*w+3*nTotal)
 	for r := range t.a {
 		t.a[r] = slab[r*w : (r+1)*w : (r+1)*w]
 	}
+	vecs := slab[m*w:]
+	t.phase2Cost = vecs[:nTotal:nTotal]
+	t.phase1Cost = vecs[nTotal : 2*nTotal : 2*nTotal]
+	t.rc = vecs[2*nTotal:]
 	for r := 0; r < mEq; r++ {
-		copy(t.a[r], p.Aeq.RowView(r))
+		t.fillRow(r, p.Aeq, r)
 		t.a[r][nTotal] = p.Beq[r]
 	}
 	for r := 0; r < mUb; r++ {
-		row := t.a[mEq+r]
-		copy(row, p.Aub.RowView(r))
-		row[nOrig+r] = 1 // slack
-		row[nTotal] = p.Bub[r]
+		t.fillRow(mEq+r, p.Aub, r)
+		t.setEntry(mEq+r, nOrig+r, 1) // slack
+		t.a[mEq+r][nTotal] = p.Bub[r]
 	}
-	// Normalize rhs ≥ 0.
+	// Normalize rhs ≥ 0. Negating the support and the rhs negates every
+	// nonzero entry of the row.
 	for r := 0; r < m; r++ {
-		if t.a[r][nTotal] < 0 {
-			for j := range t.a[r] {
-				t.a[r][j] = -t.a[r][j]
+		row := t.a[r]
+		if row[nTotal] < 0 {
+			for k, w := range t.support(r) {
+				for ; w != 0; w &= w - 1 {
+					j := k<<6 | bits.TrailingZeros64(w)
+					row[j] = -row[j]
+				}
 			}
+			row[nTotal] = -row[nTotal]
 			t.flipped[r] = true
 		}
 	}
@@ -366,13 +425,38 @@ func newTableau(p *Problem) *tableau {
 		}
 		col := t.artStart + t.nArt
 		t.nArt++
-		t.a[r][col] = 1
+		t.setEntry(r, col, 1)
 		t.basis[r] = col
 		t.artOfRow[r] = col
 	}
-	t.phase2Cost = make([]float64, nTotal)
 	copy(t.phase2Cost, p.C)
+	for j := t.artStart; j < t.artStart+t.nArt; j++ {
+		t.phase1Cost[j] = 1
+	}
 	return t
+}
+
+// support returns row r's support words.
+func (t *tableau) support(r int) []uint64 {
+	return t.sup[r*t.words : (r+1)*t.words : (r+1)*t.words]
+}
+
+// fillRow copies row i of a into tableau row r and marks its columns in the
+// row's support.
+func (t *tableau) fillRow(r int, a *mat.SparseRows, i int) {
+	row, sup := t.a[r], t.support(r)
+	idx, val := a.RowNNZ(i)
+	for k, j := range idx {
+		row[j] = val[k]
+		sup[j>>6] |= 1 << (j & 63)
+	}
+}
+
+// setEntry writes v at row r, column j and marks the column in the row's
+// support.
+func (t *tableau) setEntry(r, j int, v float64) {
+	t.a[r][j] = v
+	t.support(r)[j>>6] |= 1 << (j & 63)
 }
 
 // rhsCol is the rhs column index. It must not read t.a: a problem with no
@@ -388,10 +472,7 @@ func (t *tableau) run() *Result {
 	// reduced costs from the current basis at every pivot, which avoids
 	// cost-row drift.
 	if t.nArt > 0 {
-		cost := make([]float64, t.rhsCol())
-		for j := t.artStart; j < t.artStart+t.nArt; j++ {
-			cost[j] = 1
-		}
+		cost := t.phase1Cost
 		st := t.iterate(cost, math.Inf(1))
 		if st == Unbounded {
 			// Phase-1 objective is bounded below by 0; unbounded here means
@@ -498,14 +579,6 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 	// The cap counts one artificial column per row, needed or not, so it
 	// does not depend on how many rows flipped.
 	maxIters := 200 + 50*(2*t.m+t.artStart)
-	if len(t.basicMark) < n {
-		//lint:ignore hotalloc grow-only scratch: sized once per tableau, reused by later iterates
-		t.basicMark = make([]bool, n)
-	}
-	if len(t.rc) < n {
-		//lint:ignore hotalloc grow-only scratch: sized once per tableau, reused by later iterates
-		t.rc = make([]float64, n)
-	}
 	mark := t.basicMark[:n]
 	for j := range mark {
 		mark[j] = false
@@ -524,9 +597,9 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 		useBland := local > blandAfter
 		// Reduced costs rc_j = c_j − Σ_r c_{basis[r]}·a[r][j], accumulated
 		// row by row over the rows whose basic cost is nonzero (in phase 1,
-		// only the rows an artificial still holds). Each rc_j takes the same
-		// nonzero terms in the same ascending-r order as a per-column sum,
-		// so it rounds identically.
+		// only the rows an artificial still holds), and within a row over
+		// its support. Each rc_j takes the same nonzero terms in the same
+		// ascending-r order as a per-column sum, so it rounds identically.
 		copy(rc, cost[:n])
 		for r, b := range t.basis {
 			cb := cost[b]
@@ -534,10 +607,12 @@ func (t *tableau) iterate(cost []float64, _ float64) Status {
 				continue
 			}
 			row := t.a[r][:n]
-			rc := rc[:len(row)]
-			for j, v := range row {
-				if v != 0 {
-					rc[j] -= cb * v
+			for k, w := range t.support(r) {
+				for ; w != 0; w &= w - 1 {
+					j := k<<6 | bits.TrailingZeros64(w)
+					if v := row[j]; v != 0 {
+						rc[j] -= cb * v
+					}
 				}
 			}
 		}
@@ -611,25 +686,45 @@ func (t *tableau) isBasic(j int) bool {
 	return false
 }
 
-// pivot makes column enter basic in row leave via Gauss-Jordan elimination.
+// pivot makes column enter basic in row leave via Gauss-Jordan elimination
+// over the pivot row's support. Outside it the pivot row is ±0, so a dense
+// update there would leave every nonzero entry as it is and could only flip
+// the sign of a zero (f and every entry are finite, as Validate checks); an
+// updated row's new nonzeros fall in its old support or the pivot row's,
+// which is ORed into it. The rhs column is updated on every pivot, as the
+// dense loop does, so it matches that loop bit for bit, zero signs
+// included: X, Obj and the ratio test read it. Nothing reads the sign of a
+// zero anywhere else.
 func (t *tableau) pivot(leave, enter int) {
 	prow := t.a[leave]
+	psup := t.support(leave)
+	rhs := t.rhsCol()
 	p := prow[enter]
-	for j := range prow {
-		prow[j] /= p
+	for k, w := range psup {
+		for ; w != 0; w &= w - 1 {
+			j := k<<6 | bits.TrailingZeros64(w)
+			prow[j] /= p
+		}
 	}
+	prow[rhs] /= p
 	for r := 0; r < t.m; r++ {
 		if r == leave {
 			continue
 		}
-		f := t.a[r][enter]
+		row := t.a[r]
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := t.a[r]
-		for j := range row {
-			row[j] -= f * prow[j]
+		sup := t.support(r)[:len(psup)]
+		for k, w := range psup {
+			sup[k] |= w
+			for ; w != 0; w &= w - 1 {
+				j := k<<6 | bits.TrailingZeros64(w)
+				row[j] -= f * prow[j]
+			}
 		}
+		row[rhs] -= f * prow[rhs]
 	}
 	t.basis[leave] = enter
 }
@@ -655,7 +750,8 @@ func (t *tableau) driveOutArtificials() {
 			}
 		}
 		if !pivoted {
-			// Redundant row; zero it so it can never pivot again.
+			// Redundant row; zero it so it can never pivot again. Its
+			// support bits stay: a superset is all pivot and pricing need.
 			for j := 0; j <= rhs; j++ {
 				if j != b {
 					t.a[r][j] = 0

@@ -10,6 +10,15 @@ import (
 	"repro/internal/mat"
 )
 
+// sparse compresses a dense fixture into the rows Problem takes; nil stays
+// nil.
+func sparse(d *mat.Dense) *mat.SparseRows {
+	if d == nil {
+		return nil
+	}
+	return mat.SparseRowsFrom(d)
+}
+
 func solveOK(t *testing.T, p *Problem) *Result {
 	t.Helper()
 	res, err := Solve(p)
@@ -28,9 +37,9 @@ func TestValidate(t *testing.T) {
 		p    Problem
 	}{
 		{"empty cost", Problem{}},
-		{"aeq cols", Problem{C: []float64{1}, Aeq: mat.Zeros(1, 2), Beq: []float64{1}}},
-		{"aeq rows", Problem{C: []float64{1}, Aeq: mat.Zeros(2, 1), Beq: []float64{1}}},
-		{"aub cols", Problem{C: []float64{1}, Aub: mat.Zeros(1, 2), Bub: []float64{1}}},
+		{"aeq cols", Problem{C: []float64{1}, Aeq: sparse(mat.Zeros(1, 2)), Beq: []float64{1}}},
+		{"aeq rows", Problem{C: []float64{1}, Aeq: sparse(mat.Zeros(2, 1)), Beq: []float64{1}}},
+		{"aub cols", Problem{C: []float64{1}, Aub: sparse(mat.Zeros(1, 2)), Bub: []float64{1}}},
 		{"beq without aeq", Problem{C: []float64{1}, Beq: []float64{1}}},
 		{"nan cost", Problem{C: []float64{math.NaN()}}},
 	}
@@ -47,7 +56,7 @@ func TestSimpleInequality(t *testing.T) {
 	// max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6 → min -(x+y); optimum at (1.6, 1.2).
 	p := &Problem{
 		C:   []float64{-1, -1},
-		Aub: mat.MustNew(2, 2, []float64{1, 2, 3, 1}),
+		Aub: sparse(mat.MustNew(2, 2, []float64{1, 2, 3, 1})),
 		Bub: []float64{4, 6},
 	}
 	res := solveOK(t, p)
@@ -63,7 +72,7 @@ func TestEqualityOnly(t *testing.T) {
 	// min 2x+3y s.t. x+y = 10 → (10, 0), obj 20.
 	p := &Problem{
 		C:   []float64{2, 3},
-		Aeq: mat.MustNew(1, 2, []float64{1, 1}),
+		Aeq: sparse(mat.MustNew(1, 2, []float64{1, 1})),
 		Beq: []float64{10},
 	}
 	res := solveOK(t, p)
@@ -77,9 +86,9 @@ func TestMixedConstraints(t *testing.T) {
 	// Optimum: x1=2, x2=3, x3=1 → 2+6+3 = 11.
 	p := &Problem{
 		C:   []float64{1, 2, 3},
-		Aeq: mat.MustNew(1, 3, []float64{1, 1, 1}),
+		Aeq: sparse(mat.MustNew(1, 3, []float64{1, 1, 1})),
 		Beq: []float64{6},
-		Aub: mat.MustNew(2, 3, []float64{1, 0, 0, 0, 1, 0}),
+		Aub: sparse(mat.MustNew(2, 3, []float64{1, 0, 0, 0, 1, 0})),
 		Bub: []float64{2, 3},
 	}
 	res := solveOK(t, p)
@@ -98,9 +107,9 @@ func TestInfeasible(t *testing.T) {
 	// x = 5 and x ≤ 2 conflict.
 	p := &Problem{
 		C:   []float64{1},
-		Aeq: mat.MustNew(1, 1, []float64{1}),
+		Aeq: sparse(mat.MustNew(1, 1, []float64{1})),
 		Beq: []float64{5},
-		Aub: mat.MustNew(1, 1, []float64{1}),
+		Aub: sparse(mat.MustNew(1, 1, []float64{1})),
 		Bub: []float64{2},
 	}
 	res, err := Solve(p)
@@ -116,7 +125,7 @@ func TestInfeasibleNegativeRHSOnly(t *testing.T) {
 	// x ≤ -1 with x ≥ 0 is infeasible.
 	p := &Problem{
 		C:   []float64{1},
-		Aub: mat.MustNew(1, 1, []float64{1}),
+		Aub: sparse(mat.MustNew(1, 1, []float64{1})),
 		Bub: []float64{-1},
 	}
 	res, err := Solve(p)
@@ -132,7 +141,7 @@ func TestUnbounded(t *testing.T) {
 	// min -x with only x ≥ 0: unbounded below.
 	p := &Problem{
 		C:   []float64{-1},
-		Aub: mat.MustNew(1, 1, []float64{-1}),
+		Aub: sparse(mat.MustNew(1, 1, []float64{-1})),
 		Bub: []float64{0},
 	}
 	res, err := Solve(p)
@@ -148,11 +157,11 @@ func TestDegenerateCycling(t *testing.T) {
 	// Beale's classic cycling example; Bland's rule must terminate.
 	p := &Problem{
 		C: []float64{-0.75, 150, -0.02, 6},
-		Aub: mat.MustNew(3, 4, []float64{
+		Aub: sparse(mat.MustNew(3, 4, []float64{
 			0.25, -60, -1.0 / 25, 9,
 			0.5, -90, -1.0 / 50, 3,
 			0, 0, 1, 0,
-		}),
+		})),
 		Bub: []float64{0, 0, 1},
 	}
 	res := solveOK(t, p)
@@ -166,12 +175,12 @@ func TestTransportationProblem(t *testing.T) {
 	// [[1 3],[2 1]]. Optimal: x11=20, x21=5, x22=25 → 20+10+25 = 55.
 	p := &Problem{
 		C: []float64{1, 3, 2, 1},
-		Aeq: mat.MustNew(4, 4, []float64{
+		Aeq: sparse(mat.MustNew(4, 4, []float64{
 			1, 1, 0, 0, // supply 1
 			0, 0, 1, 1, // supply 2
 			1, 0, 1, 0, // demand 1
 			0, 1, 0, 1, // demand 2
-		}),
+		})),
 		Beq: []float64{20, 30, 25, 25},
 	}
 	res := solveOK(t, p)
@@ -206,7 +215,7 @@ func TestReferenceLPShape(t *testing.T) {
 		0, 0, 0, 0, 0, 1,
 	})
 	bub := []float64{0, 0, 8, 20}
-	res := solveOK(t, &Problem{C: c, Aeq: aeq, Beq: beq, Aub: aub, Bub: bub})
+	res := solveOK(t, &Problem{C: c, Aeq: sparse(aeq), Beq: beq, Aub: sparse(aub), Bub: bub})
 	// Everything should go to the cheap IDC 2 (price 1, µ=1, capacity 20).
 	lam2 := res.X[1] + res.X[3]
 	if math.Abs(lam2-16) > 1e-7 {
@@ -244,7 +253,7 @@ func TestPropertyFeasibilityAndLocalOptimality(t *testing.T) {
 			full.Set(mUb, j, 1)
 		}
 		bubFull := append(append([]float64{}, bub...), 10)
-		p := &Problem{C: c, Aub: full, Bub: bubFull}
+		p := &Problem{C: c, Aub: sparse(full), Bub: bubFull}
 		res, err := Solve(p)
 		if err != nil || res.Status != Optimal {
 			return false
@@ -302,7 +311,7 @@ func TestPropertyWeakDuality(t *testing.T) {
 		for j := 0; j < n; j++ {
 			a.Set(0, j, 1)
 		}
-		p := &Problem{C: c, Aeq: a, Beq: []float64{5}}
+		p := &Problem{C: c, Aeq: sparse(a), Beq: []float64{5}}
 		res, err := Solve(p)
 		if err != nil || res.Status != Optimal {
 			return false
@@ -340,11 +349,11 @@ func TestRedundantEqualityRows(t *testing.T) {
 	// Duplicate equality rows force redundant-row handling in phase 1.
 	p := &Problem{
 		C: []float64{1, 1},
-		Aeq: mat.MustNew(3, 2, []float64{
+		Aeq: sparse(mat.MustNew(3, 2, []float64{
 			1, 1,
 			1, 1,
 			2, 2,
-		}),
+		})),
 		Beq: []float64{4, 4, 8},
 	}
 	res := solveOK(t, p)
@@ -357,9 +366,9 @@ func TestZeroObjectiveFeasibilityProblem(t *testing.T) {
 	// Pure feasibility: min 0 s.t. x1+x2 = 3, x1 ≤ 1.
 	p := &Problem{
 		C:   []float64{0, 0},
-		Aeq: mat.MustNew(1, 2, []float64{1, 1}),
+		Aeq: sparse(mat.MustNew(1, 2, []float64{1, 1})),
 		Beq: []float64{3},
-		Aub: mat.MustNew(1, 2, []float64{1, 0}),
+		Aub: sparse(mat.MustNew(1, 2, []float64{1, 0})),
 		Bub: []float64{1},
 	}
 	res := solveOK(t, p)

@@ -86,13 +86,7 @@ type revised struct {
 // they start nonnegative).
 func newRevised(p *Problem) (*revised, error) {
 	nOrig := len(p.C)
-	mEq, mUb := 0, 0
-	if p.Aeq != nil {
-		mEq = p.Aeq.Rows()
-	}
-	if p.Aub != nil {
-		mUb = p.Aub.Rows()
-	}
+	mEq, mUb := rowCount(p.Aeq), rowCount(p.Aub)
 	m := mEq + mUb
 	rv := &revised{
 		nOrig:    nOrig,
@@ -102,20 +96,20 @@ func newRevised(p *Problem) (*revised, error) {
 		artStart: nOrig + mUb,
 	}
 	// Columns: originals (rows of Aeq stacked over Aub), then unit slacks.
+	// Walking the rows in order lists each column's entries by ascending
+	// row.
 	rv.cols = make([]sparseCol, nOrig+mUb, nOrig+mUb+m)
-	for j := 0; j < nOrig; j++ {
-		col := &rv.cols[j]
-		for r := 0; r < mEq; r++ {
-			//lint:ignore floateq sparsity harvest: exact zeros carry no column entry
-			if v := p.Aeq.At(r, j); v != 0 {
-				col.idx = append(col.idx, r)
-				col.val = append(col.val, v)
-			}
+	for r := 0; r < m; r++ {
+		a, i := p.Aeq, r
+		if r >= mEq {
+			a, i = p.Aub, r-mEq
 		}
-		for r := 0; r < mUb; r++ {
+		idx, val := a.RowNNZ(i)
+		for k, j := range idx {
 			//lint:ignore floateq sparsity harvest: exact zeros carry no column entry
-			if v := p.Aub.At(r, j); v != 0 {
-				col.idx = append(col.idx, mEq+r)
+			if v := val[k]; v != 0 {
+				col := &rv.cols[j]
+				col.idx = append(col.idx, r)
 				col.val = append(col.val, v)
 			}
 		}

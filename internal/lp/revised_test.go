@@ -35,7 +35,7 @@ func randomFeasibleLP(rng *rand.Rand, n, mEq, mUb int) *Problem {
 			}
 			beq[r] = sum
 		}
-		p.Aeq, p.Beq = aeq, beq
+		p.Aeq, p.Beq = sparse(aeq), beq
 	}
 	// Box row Σx ≤ big keeps every problem bounded; extra ≤ rows get slack 1.
 	aub := mat.Zeros(mUb+1, n)
@@ -53,7 +53,7 @@ func randomFeasibleLP(rng *rand.Rand, n, mEq, mUb int) *Problem {
 		aub.Set(mUb, j, 1)
 	}
 	bub[mUb] = 10 * float64(n)
-	p.Aub, p.Bub = aub, bub
+	p.Aub, p.Bub = sparse(aub), bub
 	return p
 }
 
@@ -113,10 +113,7 @@ func checkFeasible(t *testing.T, p *Problem, x []float64, trial int) {
 	}
 	if p.Aeq != nil {
 		for r := 0; r < p.Aeq.Rows(); r++ {
-			var s float64
-			for j := range x {
-				s += p.Aeq.At(r, j) * x[j]
-			}
+			s := p.Aeq.RowDot(r, x)
 			if math.Abs(s-p.Beq[r]) > 1e-6*(1+math.Abs(p.Beq[r])) {
 				t.Fatalf("trial %d: eq row %d: %g want %g", trial, r, s, p.Beq[r])
 			}
@@ -124,10 +121,7 @@ func checkFeasible(t *testing.T, p *Problem, x []float64, trial int) {
 	}
 	if p.Aub != nil {
 		for r := 0; r < p.Aub.Rows(); r++ {
-			var s float64
-			for j := range x {
-				s += p.Aub.At(r, j) * x[j]
-			}
+			s := p.Aub.RowDot(r, x)
 			if s > p.Bub[r]+1e-6*(1+math.Abs(p.Bub[r])) {
 				t.Fatalf("trial %d: ub row %d: %g > %g", trial, r, s, p.Bub[r])
 			}
@@ -160,9 +154,7 @@ func TestRevisedBoundsMatchRowEncoding(t *testing.T) {
 		aub := mat.Zeros(rows+2*n, n)
 		bub := make([]float64, rows+2*n)
 		for r := 0; r < rows; r++ {
-			for j := 0; j < n; j++ {
-				aub.Set(r, j, p.Aub.At(r, j))
-			}
+			p.Aub.ScatterRowInto(aub.RowView(r), r)
 			bub[r] = p.Bub[r]
 		}
 		for j := 0; j < n; j++ {
@@ -171,7 +163,7 @@ func TestRevisedBoundsMatchRowEncoding(t *testing.T) {
 			aub.Set(rows+n+j, j, 1)
 			bub[rows+n+j] = hi[j]
 		}
-		dres, err := SolveMethod(&Problem{C: p.C, Aub: aub, Bub: bub}, DenseTableau)
+		dres, err := SolveMethod(&Problem{C: p.C, Aub: sparse(aub), Bub: bub}, DenseTableau)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -215,7 +207,7 @@ func TestRevisedNonzeroLowerBounds(t *testing.T) {
 	// min x + 2y s.t. x + y ≥ 5 (as −x−y ≤ −5), 2 ≤ x,y ≤ 10.
 	p := &Problem{
 		C:   []float64{1, 2},
-		Aub: mat.MustNew(1, 2, []float64{-1, -1}),
+		Aub: sparse(mat.MustNew(1, 2, []float64{-1, -1})),
 		Bub: []float64{-5},
 		Lo:  []float64{2, 2},
 		Hi:  []float64{10, 10},
@@ -236,7 +228,7 @@ func TestRevisedInfeasible(t *testing.T) {
 	// x + y = 10 with x, y ≤ 3.
 	p := &Problem{
 		C:   []float64{1, 1},
-		Aeq: mat.MustNew(1, 2, []float64{1, 1}),
+		Aeq: sparse(mat.MustNew(1, 2, []float64{1, 1})),
 		Beq: []float64{10},
 		Lo:  []float64{0, 0},
 		Hi:  []float64{3, 3},
@@ -291,7 +283,7 @@ func TestRevisedEtaRefactorization(t *testing.T) {
 	for j := 0; j < k; j++ {
 		beq[k+j] = total / float64(k)
 	}
-	p := &Problem{C: c, Aeq: aeq, Beq: beq}
+	p := &Problem{C: c, Aeq: sparse(aeq), Beq: beq}
 	dres, err := SolveMethod(p, DenseTableau)
 	if err != nil {
 		t.Fatal(err)

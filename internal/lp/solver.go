@@ -54,7 +54,7 @@ type Solver struct {
 
 	// Constraint snapshot backing the warm-start eligibility check. Deep
 	// copies: callers may mutate their Problem between calls.
-	aeq, aub *mat.Dense
+	aeq, aub *mat.SparseRows
 	beq, bub []float64
 	lo, hi   []float64
 	hadLo    bool
@@ -120,7 +120,7 @@ func (s *Solver) canWarmStart(p *Problem) bool {
 	if len(p.C) != s.nOrig {
 		return false
 	}
-	if !mat.Equal(p.Aeq, s.aeq) || !mat.Equal(p.Aub, s.aub) {
+	if !mat.EqualSparse(p.Aeq, s.aeq) || !mat.EqualSparse(p.Aub, s.aub) {
 		return false
 	}
 	if !vecEqual(p.Beq, s.beq) || !vecEqual(p.Bub, s.bub) {
@@ -214,25 +214,14 @@ func (s *Solver) coldSolve(p *Problem) *Result {
 }
 
 func (s *Solver) snapshot(p *Problem) {
-	s.aeq = cloneOrNil(s.aeq, p.Aeq)
-	s.aub = cloneOrNil(s.aub, p.Aub)
+	s.aeq = mat.CloneSparseInto(s.aeq, p.Aeq)
+	s.aub = mat.CloneSparseInto(s.aub, p.Aub)
 	s.beq = append(s.beq[:0], p.Beq...)
 	s.bub = append(s.bub[:0], p.Bub...)
 	s.lo = append(s.lo[:0], p.Lo...)
 	s.hi = append(s.hi[:0], p.Hi...)
 	s.hadLo = p.Lo != nil
 	s.hadHi = p.Hi != nil
-}
-
-// cloneOrNil deep-copies src into dst's storage (reusing it when shapes
-// allow), or returns nil for a nil src.
-func cloneOrNil(dst, src *mat.Dense) *mat.Dense {
-	if src == nil {
-		return nil
-	}
-	dst = mat.ReuseDense(dst, src.Rows(), src.Cols())
-	dst.SetBlock(0, 0, src)
-	return dst
 }
 
 func vecEqual(a, b []float64) bool {

@@ -1,7 +1,10 @@
 package lp
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -32,7 +35,7 @@ func refLPProblem(t *testing.T, hour int) *Problem {
 	for i := range bub {
 		bub[i] = 3 + 0.5*float64(i)
 	}
-	return &Problem{C: c, Aeq: aeq, Beq: []float64{12}, Aub: aub, Bub: bub}
+	return &Problem{C: c, Aeq: sparse(aeq), Beq: []float64{12}, Aub: sparse(aub), Bub: bub}
 }
 
 // TestSolverWarmMatchesColdOverPriceSweep runs a 24 h price sweep through one
@@ -106,7 +109,9 @@ func TestSolverColdFallback(t *testing.T) {
 	// Constraint matrix value change: cold.
 	p4 := refLPProblem(t, 3)
 	p4.Beq = []float64{11}
-	p4.Aub.Set(0, 0, 2)
+	aub := mat.Identity(len(p4.C))
+	aub.Set(0, 0, 2)
+	p4.Aub = sparse(aub)
 	if _, err := s.Solve(p4); err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +122,13 @@ func TestSolverColdFallback(t *testing.T) {
 	// Shape change (extra inequality row): cold.
 	p5 := refLPProblem(t, 4)
 	p5.Beq = []float64{11}
-	p5.Aub.Set(0, 0, 2)
-	rows := p5.Aub.Rows()
-	grown := mat.Zeros(rows+1, p5.Aub.Cols())
-	grown.SetBlock(0, 0, p5.Aub)
-	for j := 0; j < p5.Aub.Cols(); j++ {
+	rows := aub.Rows()
+	grown := mat.Zeros(rows+1, aub.Cols())
+	grown.SetBlock(0, 0, aub)
+	for j := 0; j < aub.Cols(); j++ {
 		grown.Set(rows, j, 1)
 	}
-	p5.Aub = grown
+	p5.Aub = sparse(grown)
 	p5.Bub = append(append([]float64{}, p5.Bub...), 100)
 	if _, err := s.Solve(p5); err != nil {
 		t.Fatal(err)
@@ -152,7 +156,10 @@ func TestSolverSnapshotIsDeepCopy(t *testing.T) {
 	if _, err := s.Solve(p); err != nil {
 		t.Fatal(err)
 	}
-	p.Aub.Set(0, 0, 5) // mutate in place — same *Dense pointer
+	// Mutate in place — same *SparseRows, same storage — as a caller that
+	// keeps the slices it gave mat.MakeSparseRows may.
+	_, val := p.Aub.RowNNZ(0)
+	val[0] = 5
 	res, err := s.Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +185,7 @@ func TestSolverDegenerateWarmStartEngagesBland(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Problem{C: []float64{-1, -1}, Aub: aub, Bub: []float64{1, 1, 2}}
+	p := &Problem{C: []float64{-1, -1}, Aub: sparse(aub), Bub: []float64{1, 1, 2}}
 	var s Solver
 	first, err := s.Solve(p)
 	if err != nil {
@@ -196,7 +203,7 @@ func TestSolverDegenerateWarmStartEngagesBland(t *testing.T) {
 
 	// New cost moves the optimum to (0,1); the warm resolve must pivot away
 	// from the degenerate vertex, under Bland's rule from the first pivot.
-	p2 := &Problem{C: []float64{1, -1}, Aub: aub, Bub: []float64{1, 1, 2}}
+	p2 := &Problem{C: []float64{1, -1}, Aub: sparse(aub), Bub: []float64{1, 1, 2}}
 	warm, err := s.Solve(p2)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +275,7 @@ func TestValidateRejectsNonFiniteRHS(t *testing.T) {
 	base := func() *Problem {
 		aeq, _ := mat.New(1, 2, []float64{1, 1})
 		aub := mat.Identity(2)
-		return &Problem{C: []float64{1, 2}, Aeq: aeq, Beq: []float64{1}, Aub: aub, Bub: []float64{1, 1}}
+		return &Problem{C: []float64{1, 2}, Aeq: sparse(aeq), Beq: []float64{1}, Aub: sparse(aub), Bub: []float64{1, 1}}
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base problem invalid: %v", err)
@@ -288,6 +295,47 @@ func TestValidateRejectsNonFiniteRHS(t *testing.T) {
 		p.C[0] = bad
 		if err := p.Validate(); err == nil {
 			t.Errorf("Validate accepted C[0]=%v", bad)
+		}
+	}
+}
+
+// TestNonFiniteMatrixEntryRejected pins the matrix-entry half of the
+// finiteness check: min −x with a NaN or ±Inf coefficient used to come
+// back as Unbounded (Aub = [[NaN]]), Infeasible (Aeq = [[NaN]]) or Optimal
+// at x = [0] (Aeq = [[+Inf]]), all with a nil error. Both Solve and
+// Solver.Solve must now return ErrBadProblem naming the entry.
+func TestNonFiniteMatrixEntryRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		p          func(v float64) *Problem
+	}{
+		{"Aub", "Aub[0][0]", func(v float64) *Problem {
+			return &Problem{C: []float64{-1}, Aub: sparse(mat.MustNew(1, 1, []float64{v})), Bub: []float64{1}}
+		}},
+		{"Aeq", "Aeq[0][0]", func(v float64) *Problem {
+			return &Problem{C: []float64{-1}, Aeq: sparse(mat.MustNew(1, 1, []float64{v})), Beq: []float64{1}}
+		}},
+		{"Aeq/second row", "Aeq[1][2]", func(v float64) *Problem {
+			return &Problem{
+				C:   []float64{1, 1, 1},
+				Aeq: sparse(mat.MustNew(2, 3, []float64{1, 0, 1, 0, 2, v})),
+				Beq: []float64{1, 1},
+			}
+		}},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			name := fmt.Sprintf("%s=%v", tc.name, v)
+			if _, err := Solve(tc.p(v)); !errors.Is(err, ErrBadProblem) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Solve error %v, want ErrBadProblem naming %s", name, err, tc.want)
+			}
+			var s Solver
+			if _, err := s.Solve(tc.p(v)); !errors.Is(err, ErrBadProblem) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Solver.Solve error %v, want ErrBadProblem naming %s", name, err, tc.want)
+			}
+		}
+		// The same problem with a finite entry still solves.
+		if _, err := Solve(tc.p(1)); err != nil {
+			t.Errorf("%s=1: %v", tc.name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -85,5 +86,65 @@ func TestSparseRowsNNZ(t *testing.T) {
 	idx, val := s.RowNNZ(1)
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 || val[0] != -2 || val[1] != 3 {
 		t.Fatalf("RowNNZ(1) = %v %v", idx, val)
+	}
+}
+
+func TestMakeSparseRows(t *testing.T) {
+	d := MustNew(3, 4, []float64{0, 1, 0, 2, 0, 0, 0, 0, -3, 0, 0, 4})
+	s, err := MakeSparseRows(4, []int{0, 2, 2, 4}, []int{1, 3, 0, 3}, []float64{1, 2, -3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !EqualSparse(&s, SparseRowsFrom(d)) {
+		t.Fatal("rows built directly differ from the compressed dense matrix")
+	}
+	for _, bad := range []struct {
+		name     string
+		cols     int
+		rowStart []int
+		idx      []int
+		val      []float64
+	}{
+		{"no row starts", 4, nil, nil, nil},
+		{"first start", 4, []int{1, 1}, []int{0}, []float64{1}},
+		{"last start", 4, []int{0, 1}, []int{0, 1}, []float64{1, 2}},
+		{"values", 4, []int{0, 2}, []int{0, 1}, []float64{1}},
+		{"decreasing starts", 4, []int{0, 2, 1, 2}, []int{0, 1}, []float64{1, 2}},
+		{"repeated column", 4, []int{0, 2}, []int{1, 1}, []float64{1, 2}},
+		{"descending columns", 4, []int{0, 2}, []int{2, 1}, []float64{1, 2}},
+		{"negative column", 4, []int{0, 1}, []int{-1}, []float64{1}},
+		{"column past the width", 4, []int{0, 1}, []int{4}, []float64{1}},
+	} {
+		if _, err := MakeSparseRows(bad.cols, bad.rowStart, bad.idx, bad.val); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: error %v, want ErrShape", bad.name, err)
+		}
+	}
+	// A column index may repeat across rows, and a row may be empty.
+	if _, err := MakeSparseRows(2, []int{0, 0, 1, 2}, []int{1, 1}, []float64{1, 1}); err != nil {
+		t.Errorf("empty row and repeated column across rows: %v", err)
+	}
+}
+
+func TestEqualAndCloneSparse(t *testing.T) {
+	a := SparseRowsFrom(MustNew(2, 3, []float64{0, 1, 0, -2, 0, 3}))
+	c := CloneSparseInto(nil, a)
+	if !EqualSparse(a, c) || !EqualSparse(nil, nil) || EqualSparse(a, nil) {
+		t.Fatal("EqualSparse disagrees with the clone or with nil")
+	}
+	_, val := c.RowNNZ(1)
+	val[1] = 4
+	if EqualSparse(a, c) {
+		t.Fatal("a changed value compares equal")
+	}
+	if _, av := a.RowNNZ(1); av[1] != 3 {
+		t.Fatal("the clone shares storage with its source")
+	}
+	// Reusing the clone's storage for a different shape.
+	b := SparseRowsFrom(MustNew(1, 3, []float64{5, 0, 0}))
+	if c = CloneSparseInto(c, b); !EqualSparse(b, c) || EqualSparse(a, c) {
+		t.Fatal("reused clone does not match its new source")
+	}
+	if CloneSparseInto(c, nil) != nil {
+		t.Fatal("clone of nil is not nil")
 	}
 }

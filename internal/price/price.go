@@ -36,6 +36,10 @@ var ErrUnknownRegion = errors.New("price: unknown region")
 // ErrBadTrace is returned for malformed trace data.
 var ErrBadTrace = errors.New("price: malformed trace")
 
+// ErrNonFinite is returned by BidStackModel.Price for a NaN or ±Inf load or
+// model setting, and for a price that comes out NaN or ±Inf.
+var ErrNonFinite = errors.New("price: non-finite value")
+
 // Trace is an hourly day-ahead/real-time price series in $/MWh, applied
 // with zero-order hold within each hour (prices "are adjusted every hour").
 type Trace struct {
@@ -253,8 +257,22 @@ func NewBidStackModel(base *TraceModel, cfg BidStackConfig) *BidStackModel {
 
 // Price implements Model. Load above the reference raises the price along
 // the convex stack; load below lowers it (floored so the stack term never
-// flips the sign of the adjustment).
+// flips the sign of the adjustment). A NaN or ±Inf load or setting, or a
+// price that overflows, returns ErrNonFinite: each used to come back as a
+// NaN or ±Inf price with a nil error, and a NaN Sigma silently switched the
+// noise off.
 func (m *BidStackModel) Price(r Region, h int, loadMW float64) (float64, error) {
+	for _, v := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"load", loadMW}, {"sensitivity", m.sensitivity}, {"reference load", m.refMW},
+		{"gamma", m.gamma}, {"theta", m.theta}, {"sigma", m.sigma},
+	} {
+		if math.IsNaN(v.v) || math.IsInf(v.v, 0) {
+			return 0, fmt.Errorf("bid-stack %s %v: %w", v.name, v.v, ErrNonFinite)
+		}
+	}
 	p, err := m.base.Price(r, h, loadMW)
 	if err != nil {
 		return 0, err
@@ -268,13 +286,17 @@ func (m *BidStackModel) Price(r Region, h int, loadMW float64) (float64, error) 
 	}
 	// Advance the per-region OU state one step per call; deterministic
 	// under a fixed seed and call sequence.
+	out := p + stack
 	if m.sigma > 0 {
 		x := m.ou[r]
 		x += -m.theta*x + m.sigma*m.rng.NormFloat64()
 		m.ou[r] = x
-		return p + stack + x, nil
+		out += x
 	}
-	return p + stack, nil
+	if math.IsNaN(out) || math.IsInf(out, 0) {
+		return 0, fmt.Errorf("%s hour %d at %g MW: price %v: %w", r, h, loadMW, out, ErrNonFinite)
+	}
+	return out, nil
 }
 
 // Volatility returns the standard deviation of hour-to-hour price changes,

@@ -179,6 +179,53 @@ func TestBidStackUnknownRegion(t *testing.T) {
 	}
 }
 
+// TestBidStackNonFinite pins the bid-stack model's finiteness check: a NaN
+// or ±Inf load or setting, or a price that overflows, returns ErrNonFinite.
+// Each used to come back as a NaN or ±Inf price with a nil error, and a
+// NaN Sigma silently gave the noise-free series.
+func TestBidStackNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  BidStackConfig
+		load float64
+	}{
+		{"load NaN", BidStackConfig{Sigma: 2}, nan},
+		{"load +Inf", BidStackConfig{Sigma: 2}, inf},
+		{"load -Inf", BidStackConfig{}, -inf},
+		{"sensitivity Inf", BidStackConfig{Sensitivity: inf}, 10},
+		{"ref NaN", BidStackConfig{RefMW: nan}, 10},
+		{"gamma -Inf", BidStackConfig{Gamma: -inf}, 10},
+		{"theta NaN", BidStackConfig{Theta: nan, Sigma: 2}, 10},
+		{"sigma NaN", BidStackConfig{Sigma: nan}, 10},
+		{"sigma Inf", BidStackConfig{Sigma: inf}, 10},
+	} {
+		m := NewBidStackModel(NewEmbeddedModel(), tc.cfg)
+		if p, err := m.Price(Michigan, 1, tc.load); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: Price = %v, %v; want ErrNonFinite", tc.name, p, err)
+		}
+	}
+	// A finite sigma this large soon drives an OU state past the float
+	// range (at hour 1 for seed 1, as idcprice draws the regions): the
+	// overflowing price fails instead of coming back as ±Inf.
+	m := NewBidStackModel(NewEmbeddedModel(), BidStackConfig{Sigma: 1e308, Seed: 1})
+	var err error
+	for h := 0; h < 24 && err == nil; h++ {
+		for _, r := range Regions() {
+			var p float64
+			if p, err = m.Price(r, h, 10); err != nil {
+				break
+			}
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("%s hour %d: price %v with a nil error", r, h, p)
+			}
+		}
+	}
+	if !errors.Is(err, ErrNonFinite) {
+		t.Errorf("sigma 1e308: error %v after 24 hours, want ErrNonFinite", err)
+	}
+}
+
 func TestVolatility(t *testing.T) {
 	if v := Volatility([]float64{5}); v != 0 {
 		t.Fatalf("single sample volatility = %g, want 0", v)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/mat"
 	"repro/internal/testenv"
 )
@@ -89,5 +90,50 @@ func TestSolveWithFactorReuseAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("alternating SolveWith allocated %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestPhase1RowsBuiltOncePerWorkspace pins the phase-1 row cache: once a
+// workspace has run the phase-1 LP, a later infeasible-start solve through
+// it allocates exactly what that LP's own solve allocates. findFeasible
+// builds no rows, cost or start vector again, and the rows keep their
+// storage.
+func TestPhase1RowsBuiltOncePerWorkspace(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const c, nIDC, b2 = 5, 3, 3
+	r := rand.New(rand.NewSource(14))
+	h, aeq, ain := mpcShapedFixture(r, c, nIDC, b2)
+	p := mpcShapedProblem(r, h, aeq, ain, b2)
+	for s := 0; s < b2; s++ {
+		for i := 0; i < c; i++ {
+			p.Beq[s*c+i] = 1.5 * p.Bin[i*nIDC]
+		}
+	}
+	if p.feasible(p.X0, featol) {
+		t.Fatal("the zero start is feasible; the solve would skip phase 1")
+	}
+	ws := NewWorkspace()
+	solve := func() {
+		if _, err := SolveWith(p, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	solve()
+	rows, _ := ws.ph1.eq.RowNNZ(0)
+	got := testing.AllocsPerRun(20, solve)
+	ph1 := lp.Problem{C: ws.ph1.cost, Aeq: &ws.ph1.eq, Beq: p.Beq, Aub: &ws.ph1.in, Bub: p.Bin}
+	want := testing.AllocsPerRun(20, func() {
+		if res, err := lp.Solve(&ph1); err != nil || res.Status != lp.Optimal {
+			t.Fatalf("phase-1 LP: %v / %v", res, err)
+		}
+	})
+	if got != want {
+		t.Errorf("infeasible-start SolveWith allocated %v allocs/run, its phase-1 LP %v", got, want)
+	}
+	if again, _ := ws.ph1.eq.RowNNZ(0); &again[0] != &rows[0] {
+		t.Error("a later solve rebuilt the phase-1 rows")
 	}
 }

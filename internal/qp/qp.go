@@ -173,6 +173,9 @@ type Workspace struct {
 	lastActiveOK bool
 	// prune is the incremental Gram–Schmidt state of pruneDependent.
 	prune pruneState
+	// ph1 holds the phase-1 LP's rows and cost, built on the first
+	// infeasible start (findFeasible).
+	ph1 phase1
 
 	// Grow-only scratch. Once every buffer has reached the problem's steady
 	// size, a SolveWith call that stays on the cached Schur path performs no
@@ -405,19 +408,15 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 		copy(x, p.X0)
 		if !p.feasible(x, featol) {
 			//lint:ignore hotalloc cold start: phase-1 LP runs only when the warm start is infeasible
-			fx, err := findFeasible(p)
-			if err != nil {
+			if err := ws.findFeasible(p, x); err != nil {
 				return nil, err
 			}
-			x = fx
 		}
 	} else if p.Aeq != nil || p.Ain != nil {
 		//lint:ignore hotalloc cold start: no warm-start point was supplied at all
-		fx, err := findFeasible(p)
-		if err != nil {
+		if err := ws.findFeasible(p, x); err != nil {
 			return nil, err
 		}
-		x = fx
 	}
 
 	// H is constant across active-set iterations (and across every solve
@@ -1170,58 +1169,122 @@ func (p *Problem) feasible(x []float64, tol float64) bool {
 	return true
 }
 
-// findFeasible runs an LP phase-1 with variable splitting x = x⁺ − x⁻ and
-// elastic slacks on the inequalities, minimizing total slack. A zero optimum
-// yields a feasible x.
-func findFeasible(p *Problem) ([]float64, error) {
-	n := p.dim()
-	mIn := 0
+// phase1 holds the rows and the cost of findFeasible's LP over the
+// variables x⁺, x⁻ and one elastic slack s per inequality: the rows
+// [aᵢ, −aᵢ] of Aeq and [aᵢ, −aᵢ, −eᵢ] of Ain, and the cost 1 on each
+// slack. They depend only on Aeq and Ain, which a workspace never sees
+// change, so it builds them once, in one []int and one []float64.
+type phase1 struct {
+	ready  bool
+	eq, in mat.SparseRows
+	cost   []float64
+}
+
+// build fills ph for p, whose dimension is n.
+func (ph *phase1) build(p *Problem, n int) error {
+	mIn := rowCount(p.Ain)
+	nv := 2*n + mIn
+	// Each row holds its entries twice, and an inequality row its slack.
+	nInts, nVals := 0, nv
+	if p.Aeq != nil {
+		nInts += p.Aeq.Rows() + 1 + 2*p.Aeq.NNZ()
+		nVals += 2 * p.Aeq.NNZ()
+	}
 	if p.Ain != nil {
-		mIn = p.Ain.Rows()
+		nInts += mIn + 1 + 2*p.Ain.NNZ() + mIn
+		nVals += 2*p.Ain.NNZ() + mIn
 	}
-	nv := 2*n + mIn // x⁺, x⁻, s
-	c := make([]float64, nv)
+	ints := make([]int, nInts)
+	vals := make([]float64, nVals)
+	ph.cost, vals = vals[:nv:nv], vals[nv:]
 	for i := 0; i < mIn; i++ {
-		c[2*n+i] = 1
+		ph.cost[2*n+i] = 1
 	}
-	// split writes row i of a into dst as [a_i, −a_i], leaving dst's tail.
-	// The negated half negates all n entries, so its zeros are −0.
-	split := func(dst []float64, a *mat.SparseRows, i int) {
-		a.ScatterRowInto(dst[:n], i)
-		neg := dst[n : 2*n]
-		for j, v := range dst[:n] {
-			neg[j] = -v
+	var err error
+	if p.Aeq != nil {
+		if ph.eq, ints, vals, err = splitRows(p.Aeq, n, nv, -1, ints, vals); err != nil {
+			return err
+		}
+	}
+	if p.Ain != nil {
+		if ph.in, _, _, err = splitRows(p.Ain, n, nv, 2*n, ints, vals); err != nil {
+			return err
+		}
+	}
+	ph.ready = true
+	return nil
+}
+
+// splitRows builds the nv-wide rows [aᵢ, −aᵢ] of a (n columns) from the
+// front of ints and vals, with −1 in column slack+i of row i when slack ≥ 0,
+// and returns them with what is left of ints and vals.
+func splitRows(a *mat.SparseRows, n, nv, slack int, ints []int, vals []float64) (mat.SparseRows, []int, []float64, error) {
+	m, nnz := a.Rows(), 2*a.NNZ()
+	if slack >= 0 {
+		nnz += m
+	}
+	rowStart, idx := ints[:m+1:m+1], ints[m+1:m+1+nnz:m+1+nnz]
+	val := vals[:nnz:nnz]
+	k := 0
+	for i := 0; i < m; i++ {
+		rowStart[i] = k
+		ai, av := a.RowNNZ(i)
+		for e, j := range ai {
+			idx[k], val[k] = j, av[e]
+			k++
+		}
+		for e, j := range ai {
+			idx[k], val[k] = n+j, -av[e]
+			k++
+		}
+		if slack >= 0 {
+			idx[k], val[k] = slack+i, -1
+			k++
+		}
+	}
+	rowStart[m] = k
+	rows, err := mat.MakeSparseRows(nv, rowStart, idx, val)
+	return rows, ints[m+1+nnz:], vals[nnz:], err
+}
+
+// rowCount returns a's row count; a nil matrix has none.
+func rowCount(a *mat.SparseRows) int {
+	if a == nil {
+		return 0
+	}
+	return a.Rows()
+}
+
+// findFeasible runs an LP phase-1 with variable splitting x = x⁺ − x⁻ and
+// elastic slacks on the inequalities, minimizing total slack, and writes
+// the feasible x a zero optimum yields into x.
+func (ws *Workspace) findFeasible(p *Problem, x []float64) error {
+	n := p.dim()
+	if !ws.ph1.ready {
+		if err := ws.ph1.build(p, n); err != nil {
+			return fmt.Errorf("qp: phase-1 rows: %w", err)
 		}
 	}
 	// lp.Solve neither keeps nor writes Beq and Bub, so p's right-hand
 	// sides go in without a copy.
-	ph1 := &lp.Problem{C: c}
+	ph1 := lp.Problem{C: ws.ph1.cost, Beq: p.Beq, Bub: p.Bin}
 	if p.Aeq != nil {
-		ph1.Aeq, ph1.Beq = mat.Zeros(p.Aeq.Rows(), nv), p.Beq
-		for i := 0; i < p.Aeq.Rows(); i++ {
-			split(ph1.Aeq.RowView(i), p.Aeq, i)
-		}
+		ph1.Aeq = &ws.ph1.eq
 	}
 	if p.Ain != nil {
-		ph1.Aub, ph1.Bub = mat.Zeros(mIn, nv), p.Bin
-		for i := 0; i < mIn; i++ {
-			row := ph1.Aub.RowView(i)
-			split(row, p.Ain, i)
-			row[2*n+i] = -1
-		}
+		ph1.Aub = &ws.ph1.in
 	}
-	res, err := lp.Solve(ph1)
+	res, err := lp.Solve(&ph1)
 	if err != nil {
-		return nil, fmt.Errorf("qp: phase-1 LP: %w", err)
+		return fmt.Errorf("qp: phase-1 LP: %w", err)
 	}
 	if res.Status != lp.Optimal || res.Obj > 1e-6 {
-		return nil, fmt.Errorf("qp: phase-1 LP status %v obj %g: %w", res.Status, res.Obj, ErrInfeasible)
+		return fmt.Errorf("qp: phase-1 LP status %v obj %g: %w", res.Status, res.Obj, ErrInfeasible)
 	}
-	x := make([]float64, n)
 	for j := 0; j < n; j++ {
 		x[j] = res.X[j] - res.X[n+j]
 	}
-	return x, nil
+	return nil
 }
 
 // LSProblem is a constrained weighted least-squares problem
