@@ -39,11 +39,12 @@
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
-#   make fuzz-smoke — each internal/mat and internal/lp fuzzer for 10 s
-#                  past its seed corpus (about 90 s in all): the
+#   make fuzz-smoke — each internal/mat, internal/lp and internal/qp fuzzer
+#                  for 10 s past its seed corpus (about 100 s in all): the
 #                  bit-identity fuzzers of the blocked and chain-interleaved
-#                  kernels and of the support-restricted simplex tableau
-#                  against their reference loops, and the LP input gate.
+#                  kernels, of the support-restricted simplex tableau and of
+#                  the QP's once-per-solve prune against their reference
+#                  loops, and the LP input gate.
 #                  `go test` alone runs only the seeds.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
@@ -52,10 +53,11 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR20.json
-BENCH_REF ?= BENCH_PR20.json
+BENCH_JSON ?= BENCH_PR21.json
+BENCH_REF ?= BENCH_PR21.json
 MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
 LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
+QP_FUZZ = FuzzSolveMatchesRePruneReference
 
 .PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke
 
@@ -94,6 +96,10 @@ fuzz-smoke:
 	@for f in $(LP_FUZZ); do \
 		echo "$$f"; \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/lp || exit 1; \
+	done
+	@for f in $(QP_FUZZ); do \
+		echo "$$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/qp || exit 1; \
 	done
 
 bench:

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -46,15 +47,20 @@ func run(args []string, out io.Writer) error {
 		regions = []price.Region{price.Region(*region)}
 	}
 
+	// Everything is written to buf first and reaches out only once the last
+	// value is computed, so a run that fails prints nothing instead of a
+	// truncated series.
+	var buf bytes.Buffer
 	if *volatility {
 		for _, r := range regions {
 			tr, err := price.Embedded(r)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "%s,%s\n", r, strconv.FormatFloat(price.Volatility(tr.Hourly()), 'g', 6, 64))
+			fmt.Fprintf(&buf, "%s,%s\n", r, strconv.FormatFloat(price.Volatility(tr.Hourly()), 'g', 6, 64))
 		}
-		return nil
+		_, err := buf.WriteTo(out)
+		return err
 	}
 
 	var model price.Model = price.NewEmbeddedModel()
@@ -70,9 +76,7 @@ func run(args []string, out io.Writer) error {
 	for _, r := range regions {
 		header = append(header, string(r))
 	}
-	if _, err := fmt.Fprintln(out, strings.Join(header, ",")); err != nil {
-		return err
-	}
+	fmt.Fprintln(&buf, strings.Join(header, ","))
 	for h := 0; h < *hours; h++ {
 		row := []string{strconv.Itoa(h)}
 		for _, r := range regions {
@@ -82,9 +86,8 @@ func run(args []string, out io.Writer) error {
 			}
 			row = append(row, strconv.FormatFloat(p, 'g', 6, 64))
 		}
-		if _, err := fmt.Fprintln(out, strings.Join(row, ",")); err != nil {
-			return err
-		}
+		fmt.Fprintln(&buf, strings.Join(row, ","))
 	}
-	return nil
+	_, err := buf.WriteTo(out)
+	return err
 }

@@ -60,7 +60,8 @@ func TestStochasticDeterministic(t *testing.T) {
 
 // TestStochasticNonFiniteFails pins that a bad model setting fails the run
 // (exit 1) instead of printing NaN or ±Inf prices, or, for -sigma NaN,
-// the noise-free series.
+// the noise-free series, and that the failed run prints nothing: -sigma
+// 1e308 fails only at hour 1, after hour 0's row was computed.
 func TestStochasticNonFiniteFails(t *testing.T) {
 	for _, args := range [][]string{
 		{"-load", "NaN"},
@@ -72,6 +73,9 @@ func TestStochasticNonFiniteFails(t *testing.T) {
 		err := run(append([]string{"-stochastic", "-hours", "3"}, args...), &buf)
 		if !errors.Is(err, price.ErrNonFinite) {
 			t.Errorf("%v: error %v, want price.ErrNonFinite; output:\n%s", args, err, buf.String())
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: failed run printed %q, want no output", args, buf.String())
 		}
 	}
 }

@@ -167,17 +167,6 @@ func (t *Topology) ConservationMatrix() *mat.Dense {
 	return h
 }
 
-// Conservation builds the workload-conservation equalities of eqs. (26)–(29):
-// H·U = h where row i sums portal i's allocation across IDCs to demand L_i.
-func (t *Topology) Conservation(demands []float64) (*mat.Dense, []float64, error) {
-	if len(demands) != t.portals {
-		return nil, nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), t.portals, ErrBadTopology)
-	}
-	rhs := make([]float64, t.portals)
-	copy(rhs, demands)
-	return t.ConservationMatrix(), rhs, nil
-}
-
 // LatencyMatrix builds the Ψ of the latency/capacity inequalities Ψ·U ≤ φ
 // (eqs. 30–33): row j sums IDC j's received workload. Like the conservation
 // H it is purely structural; the server counts enter only the right-hand
@@ -218,17 +207,6 @@ func (t *Topology) LatencyRHSInto(dst []float64, servers []int) error {
 		dst[j] = cap
 	}
 	return nil
-}
-
-// LatencyCaps builds the latency/capacity inequalities of eqs. (30)–(33):
-// Ψ·U ≤ φ where row j sums IDC j's received workload and
-// φ_j = µ_j·m_j − 1/D_j for the given active-server counts.
-func (t *Topology) LatencyCaps(servers []int) (*mat.Dense, []float64, error) {
-	phi, err := t.LatencyRHS(servers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.LatencyMatrix(), phi, nil
 }
 
 // Allocation is a workload assignment λ_{ij} stored in U order.

@@ -139,11 +139,7 @@ func TestPaperTopologyCapacitiesAndFeasibility(t *testing.T) {
 
 func TestConservationMatrix(t *testing.T) {
 	top := PaperTopology()
-	demands := []float64{30000, 15000, 15000, 20000, 20000}
-	h, rhs, err := top.Conservation(demands)
-	if err != nil {
-		t.Fatalf("Conservation: %v", err)
-	}
+	h := top.ConservationMatrix()
 	if h.Rows() != 5 || h.Cols() != 15 {
 		t.Fatalf("H is %dx%d, want 5x15", h.Rows(), h.Cols())
 	}
@@ -165,20 +161,15 @@ func TestConservationMatrix(t *testing.T) {
 		if count != 3 {
 			t.Fatalf("row %d has %d ones, want 3", i, count)
 		}
-		if rhs[i] != demands[i] {
-			t.Fatalf("rhs[%d] = %g, want %g", i, rhs[i], demands[i])
-		}
-	}
-	if _, _, err := top.Conservation([]float64{1}); !errors.Is(err, ErrBadTopology) {
-		t.Fatalf("short demands: %v", err)
 	}
 }
 
 func TestLatencyCapsMatrix(t *testing.T) {
 	top := PaperTopology()
-	psi, phi, err := top.LatencyCaps([]int{10000, 20000, 5000})
+	psi := top.LatencyMatrix()
+	phi, err := top.LatencyRHS([]int{10000, 20000, 5000})
 	if err != nil {
-		t.Fatalf("LatencyCaps: %v", err)
+		t.Fatalf("LatencyRHS: %v", err)
 	}
 	if psi.Rows() != 3 || psi.Cols() != 15 {
 		t.Fatalf("Ψ is %dx%d, want 3x15", psi.Rows(), psi.Cols())
@@ -202,7 +193,7 @@ func TestLatencyCapsMatrix(t *testing.T) {
 			t.Fatalf("φ[%d] = %g, want %g", j, phi[j], wantPhi[j])
 		}
 	}
-	if _, _, err := top.LatencyCaps([]int{1}); !errors.Is(err, ErrBadTopology) {
+	if _, err := top.LatencyRHS([]int{1}); !errors.Is(err, ErrBadTopology) {
 		t.Fatalf("short servers: %v", err)
 	}
 }

@@ -65,23 +65,11 @@ func densePruneReference(aeqRows, ainRows [][]float64, active []bool, mEq int) [
 	return entries
 }
 
-// TestPruneDependentMatchesDenseReference drives one pruneState through
-// about 400 pruneDependent calls over the C8×N6 MPC row shape and checks
-// every call bit for bit against the dense reference run cold: the pruned
-// active mask, and for each processed row its id, its pruned flag and its
-// basis vector expanded to dense. The calls are grouped into solves, each
-// evolving its working set one blocking row at a time, so the replay cache,
-// the prefix copy from the previous call and cold re-orthogonalization
-// all occur. Dependent sets are forced: all of one portal's nonnegativity
-// rows at one step sum to minus its conservation row, and all latency rows
-// at one step sum to the sum of that step's conservation rows.
-func TestPruneDependentMatchesDenseReference(t *testing.T) {
-	const c, nIDC, b2 = 8, 6, 3
-	const nu = c * nIDC
-	r := rand.New(rand.NewSource(15))
-	_, aeq, nonneg := mpcShapedFixture(r, c, nIDC, b2)
-	// Ain = latency rows (IDC j's cumulated intake at step s), then the
-	// fixture's cumulated nonnegativity rows, as ctrl stacks them.
+// stackLatencyRows returns the inequality rows of the condensed MPC as
+// ctrl stacks them: the latency rows (IDC j's cumulated intake at step s,
+// row s·nIDC+j), then the fixture's cumulated nonnegativity rows.
+func stackLatencyRows(c, nIDC, b2 int, nonneg *mat.Dense) *mat.Dense {
+	nu := c * nIDC
 	ain := mat.Zeros(nIDC*b2+nonneg.Rows(), nu*b2)
 	for s := 0; s < b2; s++ {
 		for rr := 0; rr <= s; rr++ {
@@ -95,6 +83,28 @@ func TestPruneDependentMatchesDenseReference(t *testing.T) {
 	for i := 0; i < nonneg.Rows(); i++ {
 		copy(ain.RowView(nIDC*b2+i), nonneg.RowView(i))
 	}
+	return ain
+}
+
+// TestPruneDependentMatchesDenseReference drives one pruneState through
+// about 400 pruneDependent calls over the C8×N6 MPC row shape and checks
+// every call bit for bit against the dense reference run cold: the pruned
+// active mask, and for each processed row its id, its pruned flag and its
+// basis vector expanded to dense. Each call is one solve's single prune of
+// its starting working set. Successive masks grow by one blocking row, so
+// the cached sequence is replayed up to the inserted row and
+// re-orthogonalized from there; every third call replays an earlier mask,
+// so whole sequences and long prefixes are replayed too; and now and then
+// a fresh mask diverges right after the equality rows. Dependent sets are
+// forced: all of one portal's nonnegativity rows at one step sum to minus
+// its conservation row, and all latency rows at one step sum to the sum of
+// that step's conservation rows.
+func TestPruneDependentMatchesDenseReference(t *testing.T) {
+	const c, nIDC, b2 = 8, 6, 3
+	const nu = c * nIDC
+	r := rand.New(rand.NewSource(15))
+	_, aeq, nonneg := mpcShapedFixture(r, c, nIDC, b2)
+	ain := stackLatencyRows(c, nIDC, b2, nonneg)
 	mEq, mIn := aeq.Rows(), ain.Rows()
 	aeqRows := make([][]float64, mEq)
 	for i := range aeqRows {
@@ -130,58 +140,56 @@ func TestPruneDependentMatchesDenseReference(t *testing.T) {
 
 	var ps pruneState
 	calls, prunes := 0, 0
-	var replayMask []bool
-	for solve := 0; calls < 400; solve++ {
-		ps.beginSolve()
-		// Every third solve replays the previous solve's first mask, so the
-		// per-call-index cache hits.
-		active := randomMask()
-		if solve%3 == 2 && replayMask != nil {
-			copy(active, replayMask)
-		}
-		replayMask = append(replayMask[:0], active...)
-		for k := r.Intn(6) + 1; k > 0; k-- {
-			want := append([]bool(nil), active...)
-			ref := densePruneReference(aeqRows, ainRows, want, mEq)
-			pruneDependent(aeqS, ainS, active, mEq, &ps)
-			calls++
-			for i := range want {
-				if active[i] != want[i] {
-					t.Fatalf("call %d: active[%d] = %t, dense reference %t", calls, i, active[i], want[i])
-				}
-			}
-			seq := ps.seqs[ps.call-1]
-			if len(seq) < len(ref) {
-				t.Fatalf("call %d: %d cached entries, dense reference processed %d rows", calls, len(seq), len(ref))
-			}
-			for pos, e := range ref {
-				got := seq[pos]
-				if got.id != e.id || got.pruned != e.pruned || (got.vec == nil) != (e.vec == nil) {
-					t.Fatalf("call %d pos %d: id %d pruned %t kept-vector %t, dense reference id %d pruned %t kept-vector %t",
-						calls, pos, got.id, got.pruned, got.vec != nil, e.id, e.pruned, e.vec != nil)
-				}
-				if e.pruned {
-					prunes++
-				}
-				if e.vec == nil {
-					continue
-				}
-				dense := make([]float64, len(e.vec))
-				for _, nz := range got.vec {
-					dense[nz.col] = nz.v
-				}
-				for col := range dense {
-					if math.Float64bits(dense[col]) != math.Float64bits(e.vec[col]) {
-						t.Fatalf("call %d pos %d (id %d): basis[%d] = %v, dense reference %v",
-							calls, pos, e.id, col, dense[col], e.vec[col])
-					}
-				}
-			}
-			// The next call of this solve adds one blocking row, as the
-			// line search does.
+	active := randomMask()
+	var masks [][]bool // every mask pruned so far, as drawn
+	for calls < 400 {
+		switch {
+		case calls%3 == 2:
+			copy(active, masks[r.Intn(len(masks))])
+		case r.Intn(8) == 0:
+			active = randomMask()
+		default:
+			// One blocking row enters the pruned working set, as the line
+			// search adds it.
 			active[r.Intn(mIn)] = true
 		}
-		ps.endSolve()
+		masks = append(masks, append([]bool(nil), active...))
+		want := append([]bool(nil), active...)
+		ref := densePruneReference(aeqRows, ainRows, want, mEq)
+		pruneDependent(aeqS, ainS, active, mEq, &ps)
+		calls++
+		for i := range want {
+			if active[i] != want[i] {
+				t.Fatalf("call %d: active[%d] = %t, dense reference %t", calls, i, active[i], want[i])
+			}
+		}
+		seq := ps.entries
+		if len(seq) < len(ref) {
+			t.Fatalf("call %d: %d cached entries, dense reference processed %d rows", calls, len(seq), len(ref))
+		}
+		for pos, e := range ref {
+			got := seq[pos]
+			if got.id != e.id || got.pruned != e.pruned || (got.vec == nil) != (e.vec == nil) {
+				t.Fatalf("call %d pos %d: id %d pruned %t kept-vector %t, dense reference id %d pruned %t kept-vector %t",
+					calls, pos, got.id, got.pruned, got.vec != nil, e.id, e.pruned, e.vec != nil)
+			}
+			if e.pruned {
+				prunes++
+			}
+			if e.vec == nil {
+				continue
+			}
+			dense := make([]float64, len(e.vec))
+			for _, nz := range got.vec {
+				dense[nz.col] = nz.v
+			}
+			for col := range dense {
+				if math.Float64bits(dense[col]) != math.Float64bits(e.vec[col]) {
+					t.Fatalf("call %d pos %d (id %d): basis[%d] = %v, dense reference %v",
+						calls, pos, e.id, col, dense[col], e.vec[col])
+				}
+			}
+		}
 	}
 	if prunes == 0 {
 		t.Fatal("no call pruned a row: the dependent sets were not exercised")

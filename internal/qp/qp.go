@@ -103,19 +103,18 @@ const (
 // Everything cached here is a value some cold solve computed (or would
 // compute) with identical arithmetic: the Cholesky factor of H, the
 // H⁻¹aᵢ constraint columns, the Schur products aᵢᵀH⁻¹aⱼ and the factorized
-// Schur complements per working set, and the Gram–Schmidt prune prefix.
-// Reuse therefore cannot change a solution bit; it only skips
-// recomputation. Exception: in structured mode the lastActive working-set
-// hint shortens the iteration path, so a warm structured solve agrees with
-// a cold one only to rounding.
+// Schur complements per working set, and the Gram–Schmidt prune prefix of
+// the starting working set. Reuse therefore cannot change a solution bit;
+// it only skips recomputation. Exception: in structured mode the lastActive
+// working-set hint shortens the iteration path, so a warm structured solve
+// agrees with a cold one only to rounding.
 //
 // The replay caches stay bounded over a long-lived workspace:
-//   - the per-call-index prune sequences and Schur factors keep only what
-//     the last solve reached — SolveWith drops the call indices it did not;
-//   - within a solve, a prune call starts from the previous call's sequence
-//     when that shares a longer id prefix than its own cached one, so a cold
-//     call re-orthogonalizes only from the inserted row onward;
-//   - a Schur factor miss likewise starts from its slot's old factor or the
+//   - the prune state holds one sequence, at most one entry per
+//     constraint id;
+//   - the per-call-index Schur factors keep only what the last solve
+//     reached — SolveWith drops the call indices it did not;
+//   - a Schur factor miss starts from its slot's old factor or the
 //     previous call's, whichever shares the longer id prefix, and
 //     keeps what the working-set change left intact (refactorSchur);
 //   - the Schur pair cache is stored packed, upper triangle only.
@@ -154,8 +153,7 @@ type Workspace struct {
 	// stable and a cached value is the bit a fresh computation produces.
 	schurV   []float64
 	schurSet []bool
-	// sfc caches the factorized Schur complement per kktStep call index —
-	// the same per-call-index replay idea as pruneState below.
+	// sfc caches the factorized Schur complement per kktStep call index.
 	sfc schurFactorCache
 	// lastActive records the final active inequality set of the previous
 	// successful solve (structured mode only). The next solve seeds its
@@ -459,10 +457,9 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 	if errors.Is(err, ErrIterationLimit) && ws.hChol != nil && (p.form == nil || !p.form.structured()) {
 		res, err = activeSetLoop(p, nil, x, n, mEq, mIn, ws)
 	}
-	// Keep only the replay entries this solve reached: a workspace lives as
+	// Keep only the Schur slots this solve reached: a workspace lives as
 	// long as its model, and one cold solve's extra call indices would
 	// otherwise stay allocated through every shorter warm solve after it.
-	ws.prune.endSolve()
 	ws.sfc.endSolve()
 	if res != nil {
 		ws.instr.Iterations.Add(uint64(res.Iterations))
@@ -493,7 +490,14 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 			active[i] = !useHint || ws.lastActive[i]
 		}
 	}
-	ws.prune.beginSolve()
+	// The one prune of the loop. The working set only changes below by
+	// dropping rows, which keeps an independent set independent, or by
+	// adding a blocking row i with aᵢ·d > featol for a direction d that
+	// kktStep solved with A_W·d = 0 (Schur, dense-KKT and structured paths
+	// alike), so aᵢ lies outside span(A_W) and the larger set stays
+	// independent in any processing order. A factorization that rounding
+	// makes fail anyway falls back to the dense KKT step, or to dropAny in
+	// structured mode.
 	ws.sfc.beginSolve()
 	pruneDependent(p.Aeq, p.Ain, active, mEq, &ws.prune)
 
@@ -578,7 +582,6 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 		}
 		if block >= 0 {
 			active[block] = true
-			pruneDependent(p.Aeq, p.Ain, active, mEq, &ws.prune)
 			fullSteps = 0
 		} else {
 			fullSteps++
@@ -865,12 +868,11 @@ type schurFactorEntry struct {
 }
 
 // schurFactorCache caches the factorized Schur complement per kktStep call
-// index within a solve — the per-call-index replay idea of pruneState: the
-// working set evolves identically across steady-state re-solves, so call
-// index c sees the same id sequence every solve and its factor can be
-// reused verbatim. The entries never invalidate each other; a call whose
-// ids differ refactors its own slot, starting from its old factor or the
-// previous call's (refactorSchur).
+// index within a solve: the working set evolves identically across
+// steady-state re-solves, so call index c sees the same id sequence every
+// solve and its factor can be reused verbatim. The entries never
+// invalidate each other; a call whose ids differ refactors its own slot,
+// starting from its old factor or the previous call's (refactorSchur).
 type schurFactorCache struct {
 	entries []*schurFactorEntry
 	call    int
@@ -947,58 +949,14 @@ type pruneEntry struct {
 // the accepted rows before it, so while the id sequence matches, both the
 // decision and the basis vector are exactly what a cold run would compute —
 // reuse is bit-identical. The first position where the working set differs
-// invalidates the cached suffix.
-//
-// The working set evolves across the several pruneDependent calls of one
-// active-set solve, so a single shared sequence would be truncated and
-// rebuilt on every call. Instead each call index within a solve owns its
-// own cached sequence: a steady-state re-solve replays the same evolution
-// and hits every cache position, making the whole solve recompute- and
-// allocation-free. A call whose cached sequence diverges early starts from
-// the previous call's sequence instead when that one shares a longer
-// prefix: entries for an identical id prefix are identical, and their
-// vectors are never written after creation, so the copy shares them
-// exactly.
+// invalidates the cached suffix. An active-set loop prunes only its
+// starting working set, so a steady-state re-solve from the same start
+// replays the whole sequence without recomputing or allocating.
 type pruneState struct {
-	seqs [][]pruneEntry
-	call int
+	entries []pruneEntry
 	// r is residualOf's dense residual scratch, so a row that ends up
 	// pruned allocates nothing.
 	r []float64
-}
-
-// beginSolve rewinds the per-solve call counter so the first
-// pruneDependent call of this solve replays the first call of the last one.
-func (ps *pruneState) beginSolve() { ps.call = 0 }
-
-// endSolve drops the sequences of the call indices the solve did not reach,
-// so their basis vectors can be freed.
-func (ps *pruneState) endSolve() {
-	clear(ps.seqs[ps.call:])
-	ps.seqs = ps.seqs[:ps.call]
-}
-
-// sharedPrefix returns how many leading entries of seq match the id order
-// pruneDependent processes: the equalities 0…mEq−1, then the active
-// inequalities ascending.
-func sharedPrefix(seq []pruneEntry, active []bool, mEq int) int {
-	n := 0
-	for i := 0; i < mEq; i++ {
-		if n == len(seq) || seq[n].id != i {
-			return n
-		}
-		n++
-	}
-	for i, a := range active {
-		if !a {
-			continue
-		}
-		if n == len(seq) || seq[n].id != mEq+i {
-			return n
-		}
-		n++
-	}
-	return n
 }
 
 // residualOf orthogonalizes row i of a (twice, for numerical robustness)
@@ -1071,18 +1029,7 @@ func (ps *pruneState) residualOf(a *mat.SparseRows, i int, basis []pruneEntry) [
 // warm pruneState only the rows at and after the first working-set change
 // are re-orthogonalized.
 func pruneDependent(aeq, ain *mat.SparseRows, active []bool, mEq int, ps *pruneState) {
-	if ps.call >= len(ps.seqs) {
-		//lint:ignore hotalloc grow-only cache: one sequence per call index, then reused
-		ps.seqs = append(ps.seqs, nil)
-	}
-	entries := ps.seqs[ps.call]
-	if ps.call > 0 {
-		prev := ps.seqs[ps.call-1]
-		if k := sharedPrefix(prev, active, mEq); k > sharedPrefix(entries, active, mEq) {
-			//lint:ignore hotalloc replay miss: copies the previous call's entries, not their vectors
-			entries = append(entries[:0], prev[:k]...)
-		}
-	}
+	entries := ps.entries
 	pos := 0
 	// process advances the cached prefix through candidate row id, row i
 	// of a, and reports whether the row stays in the working set.
@@ -1113,8 +1060,7 @@ func pruneDependent(aeq, ain *mat.SparseRows, active []bool, mEq int, ps *pruneS
 	}
 	// Entries beyond pos are kept: if those rows re-enter the working set
 	// after an identical prefix, their decisions are still exact.
-	ps.seqs[ps.call] = entries
-	ps.call++
+	ps.entries = entries
 }
 
 func dropAny(active []bool) bool {

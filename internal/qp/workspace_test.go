@@ -36,9 +36,9 @@ func workspaceFixture(r *rand.Rand, n int) (h *mat.Dense, aeq, ain *mat.SparseRo
 // fresh right-hand sides, linear terms and starts, sharing a Workspace —
 // exactly the MPC's fast-loop pattern — and requires every solution to
 // match the cold Solve bit for bit. The box fixture changes the active set
-// from solve to solve; the MPC-shaped one makes many pruneDependent calls
-// per solve with rows inserted mid-sequence, the case in which a call starts
-// from the previous call's prune sequence and the replay caches are trimmed
+// from solve to solve; the MPC-shaped one makes many kktStep calls per solve
+// with rows inserted mid-sequence, the case in which a Schur factor miss
+// starts from the previous call's factor and the Schur slots are trimmed
 // between solves of different lengths.
 func TestSolveWithWorkspaceBitIdentical(t *testing.T) {
 	t.Run("box", func(t *testing.T) {
@@ -78,23 +78,20 @@ func TestSolveWithWorkspaceBitIdentical(t *testing.T) {
 		maxCalls, inserted := 0, false
 		for trial := 0; trial < 30; trial++ {
 			requireWarmMatchesCold(t, trial, mpcShapedProblem(r, h, aeq, ain, b2), ws)
-			seqs := ws.prune.seqs
-			maxCalls = max(maxCalls, len(seqs))
-			for c := 1; c < len(seqs); c++ {
-				prev, cur := seqs[c-1], seqs[c]
-				k := 0
-				for k < len(prev) && k < len(cur) && prev[k].id == cur[k].id {
-					k++
-				}
+			maxCalls = max(maxCalls, ws.sfc.call)
+			ents := ws.sfc.entries
+			for c := 1; c < len(ents); c++ {
+				prev, cur := ents[c-1].ids, ents[c].ids
+				k := commonPrefix(prev, cur)
 				// A smaller id at the first divergence, after the equality
 				// rows, is a row entering ahead of rows already in the set.
-				if k >= mEq && k < len(prev) && k < len(cur) && cur[k].id < prev[k].id {
+				if k >= mEq && k < len(prev) && k < len(cur) && cur[k] < prev[k] {
 					inserted = true
 				}
 			}
 		}
 		if maxCalls < 5 {
-			t.Errorf("longest solve made %d pruneDependent calls, want ≥ 5", maxCalls)
+			t.Errorf("longest solve made %d kktStep calls, want ≥ 5", maxCalls)
 		}
 		if !inserted {
 			t.Error("no solve inserted a working-set row mid-sequence")
@@ -258,9 +255,9 @@ func mpcShapedProblem(r *rand.Rand, h, aeq, ain *mat.Dense, b2 int) *Problem {
 }
 
 // TestReplayCachesKeepOnlyLastSolve pins the trim: after a long solve and
-// then a short one through the same workspace, the prune sequences and the
-// Schur-factor entries retained are exactly the short solve's, and the
-// dropped slots no longer reference their storage.
+// then a short one through the same workspace, the Schur-factor entries
+// retained are exactly the short solve's, and the dropped slots no longer
+// reference their storage.
 func TestReplayCachesKeepOnlyLastSolve(t *testing.T) {
 	const b2 = 3
 	r := rand.New(rand.NewSource(5))
@@ -273,38 +270,27 @@ func TestReplayCachesKeepOnlyLastSolve(t *testing.T) {
 		if _, err := SolveWith(long, ws); err != nil {
 			t.Fatalf("trial %d: SolveWith: %v", trial, err)
 		}
-		longCalls = ws.prune.call
+		longCalls = ws.sfc.call
 	}
 	if longCalls < 5 {
-		t.Fatalf("no solve made ≥ 5 pruneDependent calls (longest %d)", longCalls)
+		t.Fatalf("no solve made ≥ 5 kktStep calls (longest %d)", longCalls)
 	}
-	if len(ws.prune.seqs) != ws.prune.call || len(ws.sfc.entries) != ws.sfc.call {
-		t.Fatalf("after the long solve: %d prune sequences for %d calls, %d Schur entries for %d calls",
-			len(ws.prune.seqs), ws.prune.call, len(ws.sfc.entries), ws.sfc.call)
+	if len(ws.sfc.entries) != longCalls {
+		t.Fatalf("after the long solve: %d Schur entries for %d calls", len(ws.sfc.entries), longCalls)
 	}
-	longSchur := ws.sfc.call
 
 	// Restarting from the optimum seeds the working set with the final
-	// active rows: one prune call and a single stationarity check.
+	// active rows: a single stationarity check.
 	short := *long
 	short.X0 = append([]float64(nil), ws.res.X...)
 	if _, err := SolveWith(&short, ws); err != nil {
 		t.Fatalf("short SolveWith: %v", err)
 	}
-	if ws.prune.call >= longCalls || ws.sfc.call >= longSchur {
-		t.Fatalf("short solve made %d prune / %d Schur calls, want fewer than the long solve's %d / %d",
-			ws.prune.call, ws.sfc.call, longCalls, longSchur)
-	}
-	if len(ws.prune.seqs) != ws.prune.call {
-		t.Errorf("retained %d prune sequences, want the short solve's %d", len(ws.prune.seqs), ws.prune.call)
+	if ws.sfc.call >= longCalls {
+		t.Fatalf("short solve made %d Schur calls, want fewer than the long solve's %d", ws.sfc.call, longCalls)
 	}
 	if len(ws.sfc.entries) != ws.sfc.call {
 		t.Errorf("retained %d Schur entries, want the short solve's %d", len(ws.sfc.entries), ws.sfc.call)
-	}
-	for i, s := range ws.prune.seqs[len(ws.prune.seqs):cap(ws.prune.seqs)] {
-		if s != nil {
-			t.Errorf("dropped prune sequence %d still referenced", len(ws.prune.seqs)+i)
-		}
 	}
 	for i, e := range ws.sfc.entries[len(ws.sfc.entries):cap(ws.sfc.entries)] {
 		if e != nil {
