@@ -2,10 +2,10 @@
 #
 #   make check   — the tier-1 gate plus gofmt, vet, idclint, the race
 #                  detector and the bench module; run this before every push.
-#                  The race pass matters: sim.Run and experiments.RunAll spawn
-#                  goroutines. The non-race test pass matters too: the
-#                  allocation-regression tests (testing.AllocsPerRun) skip
-#                  themselves under -race.
+#                  The race pass matters: sim.Run and
+#                  experiments.RunAllContext spawn goroutines. The non-race
+#                  test pass matters too: the allocation-regression tests
+#                  (testing.AllocsPerRun) skip themselves under -race.
 #   make fmt     — fails if gofmt would change any tracked .go file. The lint
 #                  testdata is excluded: it keeps hand-aligned `want:` comments.
 #   make bench-module — vet and test bench/, the closed-loop tick benchmark.
@@ -14,9 +14,10 @@
 #                  names sim.Scenario fields, so a change to them can break it.
 #   make lint    — idclint, the repo's own static-analysis suite
 #                  (kernel aliasing, hot-path allocations, version-bump
-#                  protocol, float ==, nocopy structs, plus the concurrency
-#                  pack: goroutine termination, mutex-across-blocking,
-#                  context plumbing, atomic/plain mixing, map-order sinks);
+#                  protocol, float ==, nocopy structs, test-only exported
+#                  functions, plus the concurrency pack: goroutine
+#                  termination, mutex-across-blocking, context plumbing,
+#                  atomic/plain mixing, map-order sinks);
 #                  see DESIGN.md §3.6 and §3.11.
 #   make test    — fast unit tests only, in shuffled order.
 #   make leaktest — the goroutine-leak regression tests (internal/leaktest

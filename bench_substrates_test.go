@@ -10,7 +10,6 @@ import (
 	"repro/internal/idc"
 	"repro/internal/mat"
 	"repro/internal/price"
-	"repro/internal/queueing"
 	"repro/internal/tariff"
 	"repro/internal/workload"
 )
@@ -75,56 +74,12 @@ func BenchmarkMMPP2Rate(b *testing.B) {
 	}
 }
 
-// BenchmarkErlangC measures the waiting-probability computation at fleet
-// scale (20000 servers).
-func BenchmarkErlangC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := queueing.ErlangC(20000, 19000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBidStackPrice measures one stochastic price query.
 func BenchmarkBidStackPrice(b *testing.B) {
 	m := price.NewBidStackModel(price.NewEmbeddedModel(), price.BidStackConfig{Sigma: 2, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Price(price.Wisconsin, i%24, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkContraction measures the §IV.E closed-loop contraction estimate
-// (20 MPC solves plus plant propagation).
-func BenchmarkContraction(b *testing.B) {
-	top := idc.PaperTopology()
-	model, err := ctrl.NewFoldedModel(top, []float64{49.90, 29.47, 77.97}, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mpc, err := ctrl.NewMPC(ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	start, err := alloc.Optimize(top, []float64{43.26, 30.26, 19.06}, workload.TableI())
-	if err != nil {
-		b.Fatal(err)
-	}
-	target, err := alloc.Optimize(top, []float64{49.90, 29.47, 77.97}, workload.TableI())
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := make([]int, top.N())
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctrl.EstimateContraction(model, mpc,
-			start.Allocation.Vector(), servers,
-			workload.TableI(), target.PowerWatts, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -155,7 +156,7 @@ func BenchmarkAllExperiments(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		checksum = 0
-		for _, r := range experiments.RunAll(exps, 0) {
+		for _, r := range experiments.RunAllContext(context.Background(), exps, 0) {
 			if r.Err != nil {
 				b.Fatalf("%s: %v", r.Experiment.ID, r.Err)
 			}
@@ -367,7 +368,7 @@ func BenchmarkQPActiveSet(b *testing.B) {
 	p := &qp.Problem{H: h, Q: q, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := qp.Solve(p); err != nil {
+		if _, err := qp.SolveWith(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

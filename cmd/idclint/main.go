@@ -5,7 +5,7 @@
 // scratch-carrying structs, and the concurrency-and-determinism pack —
 // goroutine termination evidence, mutexes held across blocking calls,
 // context plumbing, atomic/plain mixed access, and map-order-dependent
-// sinks.
+// sinks — plus exported internal functions that only tests call.
 //
 // Usage:
 //

@@ -269,6 +269,9 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 // The returned closer releases the feed file; it is a no-op for stdin or
 // when -feed is unset.
 func applyFeedFlags(sc *sim.Scenario, feedPath string, staleTicks int) (func() error, error) {
+	if staleTicks < 0 {
+		return nil, fmt.Errorf("-stale-ticks %d: want a non-negative tick count", staleTicks)
+	}
 	closer := func() error { return nil }
 	if feedPath != "" {
 		if sc.DemandSource != nil {

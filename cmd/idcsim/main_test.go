@@ -64,6 +64,7 @@ func TestNonFiniteFlagsRejected(t *testing.T) {
 		{"-ts", "+Inf"},
 		{"-ts", "NaN", "-diurnal"},
 		{"-budgets", "NaN,0,0"},
+		{"-stale-ticks", "-1"},
 	} {
 		var buf bytes.Buffer
 		if err := run(append([]string{"-steps", "5", "-no-baseline"}, args...), &buf); err == nil {

@@ -2,8 +2,10 @@ package alloc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -205,6 +207,70 @@ func TestOptimizeFillsCheapestMarginalFirst(t *testing.T) {
 	if math.Abs(per[1]-27000) > 1 {
 		t.Errorf("Minnesota load = %g, want remainder 27000", per[1])
 	}
+}
+
+// Greedy solves the same problem by filling IDCs in order of marginal cost
+// per request, Pr_j·(b1_j + b0_j/µ_j) — the exact LP optimum for this
+// structure, because workload from different portals is interchangeable and
+// each IDC's cost is linear in its load once m_j sits on the latency
+// boundary. It serves as an independent oracle for Optimize.
+func Greedy(top *idc.Topology, prices, demands []float64) (*Result, error) {
+	if err := checkInputs(top, prices, demands); err != nil {
+		return nil, err
+	}
+	n, c := top.N(), top.C()
+	if !top.Feasible(demands) {
+		return nil, ErrInfeasible
+	}
+	type rankedIDC struct {
+		j        int
+		marginal float64
+		cap      float64
+	}
+	ranked := make([]rankedIDC, n)
+	for j := 0; j < n; j++ {
+		d := top.IDC(j)
+		pr := prices[j]
+		if pr < 0 {
+			pr = 0
+		}
+		ranked[j] = rankedIDC{
+			j:        j,
+			marginal: pr * (d.Power.B1 + d.Power.B0/d.ServiceRate),
+			cap:      d.Capacity(),
+		}
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].marginal < ranked[b].marginal })
+
+	allocation := idc.NewAllocation(top)
+	remaining := append([]float64{}, demands...)
+	serversLP := make([]float64, n)
+	for _, r := range ranked {
+		room := r.cap
+		for i := 0; i < c && room > 1e-12; i++ {
+			take := remaining[i]
+			if take > room {
+				take = room
+			}
+			if take <= 0 {
+				continue
+			}
+			allocation.Set(i, r.j, allocation.At(i, r.j)+take)
+			remaining[i] -= take
+			room -= take
+		}
+	}
+	for i, rem := range remaining {
+		if rem > 1e-6 {
+			return nil, fmt.Errorf("portal %d has %g unassigned: %w", i, rem, ErrInfeasible)
+		}
+	}
+	perIDC := allocation.PerIDC()
+	for j := 0; j < n; j++ {
+		d := top.IDC(j)
+		serversLP[j] = (perIDC[j] + 1/d.DelayBound) / d.ServiceRate
+	}
+	return finish(top, prices, allocation, serversLP)
 }
 
 func TestGreedyMatchesLPObjective(t *testing.T) {

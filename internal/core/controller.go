@@ -232,6 +232,10 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 	}
 	slp, err := sleep.New(cfg.Topology, cfg.Sleep)
 	if err != nil {
+		// sleep.New fails only on its configuration (sleep.ErrBadConfig).
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	if err := op.feedPolicy.validate(); err != nil {
 		return nil, err
 	}
 	var preds []*forecast.Predictor

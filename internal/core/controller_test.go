@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/idc"
 	"repro/internal/price"
+	"repro/internal/sleep"
 	"repro/internal/workload"
 )
 
@@ -104,6 +107,46 @@ func TestNewValidation(t *testing.T) {
 		if !errors.Is(err, ErrBadConfig) || !errors.Is(err, forecast.ErrBadOrder) {
 			t.Errorf("%s: %v, want core ErrBadConfig and forecast ErrBadOrder", tc.name, err)
 		}
+	}
+	// A bad sleep setting is this package's ErrBadConfig and sleep's; the
+	// error came back unwrapped, and a NaN hysteresis was accepted.
+	for _, tc := range []struct {
+		name string
+		sc   sleep.Config
+	}{
+		{"negative ramp-down limit", sleep.Config{RampDownLimit: -1}},
+		{"NaN hysteresis", sleep.Config{HysteresisFrac: nan}},
+	} {
+		cfg = baseConfig()
+		cfg.Sleep = tc.sc
+		_, err := New(cfg)
+		if !errors.Is(err, ErrBadConfig) || !errors.Is(err, sleep.ErrBadConfig) {
+			t.Errorf("%s: %v, want core and sleep ErrBadConfig", tc.name, err)
+		}
+	}
+	// A feed policy that would silently disable a degraded mode is
+	// rejected, naming the field: a NaN or +Inf enter threshold never
+	// latched, a NaN exit threshold never released, and a negative hold
+	// budget was taken as "fail fast".
+	for _, tc := range []struct {
+		field  string
+		policy FeedPolicy
+	}{
+		{"SpikeEnterSigma", FeedPolicy{SpikeWindow: 8, SpikeEnterSigma: nan}},
+		{"SpikeEnterSigma", FeedPolicy{SpikeWindow: 8, SpikeEnterSigma: inf}},
+		{"SpikeEnterSigma", FeedPolicy{SpikeWindow: 8, SpikeEnterSigma: math.Inf(-1)}},
+		{"SpikeExitSigma", FeedPolicy{SpikeWindow: 8, SpikeExitSigma: nan}},
+		{"SpikeExitSigma", FeedPolicy{SpikeWindow: 8, SpikeExitSigma: inf}},
+		{"MaxPriceStaleTicks", FeedPolicy{MaxPriceStaleTicks: -2}},
+	} {
+		_, err := New(baseConfig(), WithFeedPolicy(tc.policy))
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(fmt.Sprint(err), tc.field) {
+			t.Errorf("%+v: %v, want ErrBadConfig naming %s", tc.policy, err, tc.field)
+		}
+	}
+	// Finite non-positive thresholds still take the detector defaults.
+	if _, err := New(baseConfig(), WithFeedPolicy(FeedPolicy{SpikeWindow: 8, SpikeEnterSigma: -1, SpikeExitSigma: 0})); err != nil {
+		t.Errorf("non-positive spike thresholds: %v", err)
 	}
 }
 

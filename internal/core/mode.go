@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/feed"
 )
@@ -87,10 +88,27 @@ type FeedPolicy struct {
 	// idc_price_spike_latches_total; prices are never substituted.
 	SpikeWindow int
 	// SpikeEnterSigma / SpikeExitSigma are the detector's hysteresis
-	// thresholds in σ units; non-positive values take the feed package
-	// defaults (enter 4σ, exit 2σ).
+	// thresholds in σ units. Finite non-positive values take the feed
+	// package defaults (enter 4σ, exit 2σ); New rejects NaN and ±Inf, which
+	// would keep the detector from ever latching or ever releasing.
 	SpikeEnterSigma float64
 	SpikeExitSigma  float64
+}
+
+// validate rejects the settings that would silently disable the degraded
+// modes: a negative hold budget and a non-finite spike threshold.
+func (p FeedPolicy) validate() error {
+	if p.MaxPriceStaleTicks < 0 {
+		return fmt.Errorf("feed policy MaxPriceStaleTicks %d: %w", p.MaxPriceStaleTicks, ErrBadConfig)
+	}
+	// !(|σ| <= MaxFloat64) holds exactly for NaN and ±Inf.
+	if !(math.Abs(p.SpikeEnterSigma) <= math.MaxFloat64) {
+		return fmt.Errorf("feed policy SpikeEnterSigma %g: %w", p.SpikeEnterSigma, ErrBadConfig)
+	}
+	if !(math.Abs(p.SpikeExitSigma) <= math.MaxFloat64) {
+		return fmt.Errorf("feed policy SpikeExitSigma %g: %w", p.SpikeExitSigma, ErrBadConfig)
+	}
+	return nil
 }
 
 // WithFeedPolicy sets the controller's degraded-mode policy. Unlike the

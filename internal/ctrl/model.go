@@ -63,6 +63,8 @@ type Model struct {
 
 // NewModel builds and discretizes the system for the given per-IDC prices
 // ($/MWh) and sampling period ts (seconds).
+//
+//lint:ignore testonly the plain plant the ctrl tests drive; TestFoldedModelMatchesPlantWithSleepLaw checks the folded model against it
 func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
 	if top == nil {
 		return nil, fmt.Errorf("nil topology: %w", ErrBadModel)
@@ -146,34 +148,6 @@ func (m *Model) StateDim() int { return m.top.N() + 1 }
 
 // InputDim returns N·C.
 func (m *Model) InputDim() int { return m.top.NU() }
-
-// ControllabilityRank returns the rank of the controllability matrix
-// [B AB … A^N B]. The paper's Workload Loop Controllability Condition holds
-// when this equals N+1, which is guaranteed for Pr_j > 0 and b1 > 0.
-func (m *Model) ControllabilityRank() (int, error) {
-	ns := m.StateDim()
-	blocks := make([]*mat.Dense, 0, ns)
-	cur := m.B
-	for i := 0; i < ns; i++ {
-		blocks = append(blocks, cur)
-		next, err := mat.Mul(m.A, cur)
-		if err != nil {
-			return 0, err
-		}
-		cur = next
-	}
-	cm := mat.Zeros(ns, ns*m.InputDim())
-	for i, blk := range blocks {
-		cm.SetBlock(0, i*m.InputDim(), blk)
-	}
-	return mat.Rank(cm, 1e-12)
-}
-
-// Controllable reports whether the workload loop is completely controllable.
-func (m *Model) Controllable() bool {
-	r, err := m.ControllabilityRank()
-	return err == nil && r == m.StateDim()
-}
 
 // Step propagates the discrete dynamics one sampling period:
 //
@@ -298,17 +272,10 @@ func NewFoldedModel(top *idc.Topology, prices []float64, ts float64) (*Model, er
 // Folded reports whether the sleep-control law is folded into the plant.
 func (m *Model) Folded() bool { return m.folded }
 
-// DisturbanceVec returns the V vector multiplying Γ: the active-server
-// counts for the plain model, or the constant standby terms 1/(µ_j·D_j)
-// for a folded model (servers is then ignored).
-func (m *Model) DisturbanceVec(servers []int) []float64 {
-	v := make([]float64, m.top.N())
-	m.DisturbanceVecInto(v, servers)
-	return v
-}
-
-// DisturbanceVecInto is DisturbanceVec writing into dst, which must have
-// length N.
+// DisturbanceVecInto writes the V vector multiplying Γ into dst, which
+// must have length N: the active-server counts for the plain model, or the
+// constant standby terms 1/(µ_j·D_j) for a folded model (servers is then
+// ignored).
 func (m *Model) DisturbanceVecInto(dst []float64, servers []int) {
 	n := m.top.N()
 	if len(dst) != n {
@@ -329,14 +296,9 @@ func (m *Model) DisturbanceVecInto(dst []float64, servers []int) {
 	}
 }
 
-// CapServers returns the server counts to use for the latency caps: the
-// actual counts for a plain model, the full fleet for a folded one.
-func (m *Model) CapServers(servers []int) []int {
-	return m.CapServersInto(nil, servers)
-}
-
-// CapServersInto is CapServers reusing buf's backing array when it has
-// capacity.
+// CapServersInto returns the server counts to use for the latency caps
+// (the actual counts for a plain model, the full fleet for a folded one),
+// reusing buf's backing array when it has capacity.
 func (m *Model) CapServersInto(buf []int, servers []int) []int {
 	if !m.folded {
 		return append(buf[:0], servers...)

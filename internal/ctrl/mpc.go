@@ -162,17 +162,6 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 // Config returns the resolved configuration.
 func (m *MPC) Config() MPCConfig { return m.cfg }
 
-// Reset discards all state carried between steps: the warm-start plan and
-// the condensed-matrix cache. Call it when the controlled plant jumps in a
-// way no model rebuild announces (model rebuilds themselves are detected
-// automatically via the model's pointer and Version).
-func (m *MPC) Reset() {
-	m.prevZ = nil
-	m.cache = nil
-	m.lastModel = nil
-	m.lastVersion = 0
-}
-
 // StepInput carries everything one control step needs. The model is passed
 // per step because prices (and hence A) change between slow-loop ticks.
 type StepInput struct {
@@ -417,7 +406,7 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 
 // warmStart returns the best available feasible starting point: the
 // previous plan shifted one step (exact when demands and caps are
-// unchanged), else the zero move. qp.Solve re-checks feasibility and runs
+// unchanged), else the zero move. qp.SolveWith re-checks feasibility and runs
 // its LP phase only if the returned point is infeasible too.
 func (m *MPC) warmStart(nu, b2 int, cd *condensed, beq, bin []float64) []float64 {
 	sc := &m.sc

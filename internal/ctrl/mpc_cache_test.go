@@ -164,39 +164,6 @@ func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	}
 }
 
-// TestMPCReset clears every piece of cross-step state.
-func TestMPCReset(t *testing.T) {
-	top := idc.PaperTopology()
-	m6 := newFlipTestModel(t, testPrices6H, 30)
-	servers := make([]int, top.N())
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
-	u, _ := feasibleStart(t, testPrices6H)
-	refPower, err := m6.PowerRates(u, servers)
-	if err != nil {
-		t.Fatalf("PowerRates: %v", err)
-	}
-	mpc, err := NewMPC(MPCConfig{PowerWeight: 1})
-	if err != nil {
-		t.Fatalf("NewMPC: %v", err)
-	}
-	if _, err := mpc.Step(StepInput{
-		Model: m6, State: make([]float64, top.N()+1), PrevU: u,
-		Servers: servers, Demands: workload.TableI(), RefPower: refPower,
-	}); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	if mpc.prevZ == nil || mpc.cache == nil || mpc.lastModel == nil {
-		t.Fatalf("expected populated controller state after a step")
-	}
-	mpc.Reset()
-	if mpc.prevZ != nil || mpc.cache != nil || mpc.lastModel != nil || mpc.lastVersion != 0 {
-		t.Fatalf("Reset left state behind: prevZ=%v cache=%v lastModel=%v lastVersion=%d",
-			mpc.prevZ, mpc.cache, mpc.lastModel, mpc.lastVersion)
-	}
-}
-
 // TestModelVersionsUnique pins the invalidation signal: every construction
 // yields a distinct version.
 func TestModelVersionsUnique(t *testing.T) {

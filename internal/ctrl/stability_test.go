@@ -2,12 +2,144 @@ package ctrl
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/idc"
+	"repro/internal/mat"
 	"repro/internal/workload"
 )
+
+// ContractionReport is the outcome of EstimateContraction — the empirical
+// counterpart of the paper's §IV.E stability argument (Mayne et al. prove
+// closed-loop stability of constrained MPC via the contraction mapping
+// theorem; here we measure the contraction factor directly).
+type ContractionReport struct {
+	// Rho is the estimated per-step contraction factor of the power
+	// tracking error (geometric mean of successive error ratios).
+	// Rho < 1 means the closed loop is contractive toward the reference.
+	Rho float64
+	// Errors is the tracking error norm ‖P(k) − P_ref‖₂ per step.
+	Errors []float64
+	// Converged reports whether the final error fell below tol·initial.
+	Converged bool
+}
+
+// EstimateContraction runs the closed loop (MPC + plant) from the given
+// allocation toward a fixed power reference for the given number of steps
+// and estimates the per-step contraction factor of the tracking error.
+//
+// The plant is the model itself (perfect model assumption, as in the
+// paper's proofs): servers are only used for the latency caps/disturbance
+// of non-folded models.
+func EstimateContraction(
+	model *Model, mpc *MPC,
+	u0 []float64, servers []int,
+	demands, refPower []float64,
+	steps int,
+) (*ContractionReport, error) {
+	if model == nil || mpc == nil {
+		return nil, fmt.Errorf("nil model or controller: %w", ErrBadConfig)
+	}
+	if steps <= 0 {
+		return nil, fmt.Errorf("steps %d: %w", steps, ErrBadConfig)
+	}
+	u := append([]float64{}, u0...)
+	state := make([]float64, model.StateDim())
+	errs := make([]float64, 0, steps+1)
+
+	trackErr := func(u []float64) (float64, error) {
+		rates, err := model.PowerRates(u, effectiveServers(model, u, servers))
+		if err != nil {
+			return 0, err
+		}
+		return mat.NormVec(mat.SubVec(rates, refPower)), nil
+	}
+	e0, err := trackErr(u)
+	if err != nil {
+		return nil, err
+	}
+	errs = append(errs, e0)
+
+	for k := 0; k < steps; k++ {
+		out, err := mpc.Step(StepInput{
+			Model:    model,
+			State:    state,
+			PrevU:    u,
+			Servers:  servers,
+			Demands:  demands,
+			RefPower: refPower,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("ctrl: contraction step %d: %w", k, err)
+		}
+		u = out.U
+		state, err = model.Step(state, u, effectiveServers(model, u, servers))
+		if err != nil {
+			return nil, err
+		}
+		e, err := trackErr(u)
+		if err != nil {
+			return nil, err
+		}
+		errs = append(errs, e)
+	}
+
+	// Geometric mean of ratios over the decaying portion (errors above a
+	// floor relative to the initial error, so solver noise near zero does
+	// not pollute the estimate).
+	floor := 1e-4*errs[0] + 1e-9
+	var logSum float64
+	var n int
+	for k := 1; k < len(errs); k++ {
+		if errs[k-1] <= floor || errs[k] <= 0 {
+			break
+		}
+		logSum += math.Log(errs[k] / errs[k-1])
+		n++
+	}
+	rho := 1.0
+	if n > 0 {
+		rho = math.Exp(logSum / float64(n))
+	} else if errs[0] <= floor {
+		rho = 0 // started converged
+	}
+	final := errs[len(errs)-1]
+	// Convergence floor scales with the reference magnitude: the QP settles
+	// within solver noise (~1e-5 relative) of the target, never exactly on it.
+	convFloor := 1e-2*errs[0] + 1e-5*mat.NormVec(refPower)
+	return &ContractionReport{
+		Rho:       rho,
+		Errors:    errs,
+		Converged: final <= convFloor,
+	}, nil
+}
+
+// effectiveServers returns the server counts to run the plant with: the
+// eq. (35) sleep law for a folded model (tracking the allocation), the
+// provided counts otherwise.
+func effectiveServers(model *Model, u []float64, servers []int) []int {
+	if !model.Folded() {
+		return servers
+	}
+	top := model.Topology()
+	alloc, err := idc.AllocationFromVector(top, u)
+	if err != nil {
+		return servers
+	}
+	per := alloc.PerIDC()
+	out := make([]int, top.N())
+	for j := range out {
+		m, err := top.IDC(j).MinServersFor(per[j])
+		if err != nil {
+			return servers
+		}
+		out[j] = m
+	}
+	return out
+}
 
 func contractionSetup(t *testing.T, smooth float64) (*Model, *MPC, []float64, []int, []float64) {
 	t.Helper()

@@ -13,7 +13,7 @@ type RunResult struct {
 	Err        error
 }
 
-// RunAll executes the given experiments on a bounded worker pool and
+// RunAllContext executes the given experiments on a bounded worker pool and
 // returns their results in input order. workers ≤ 0 selects
 // runtime.GOMAXPROCS(0). Every experiment runs regardless of other
 // experiments' failures; per-experiment errors land in the corresponding
@@ -24,15 +24,12 @@ type RunResult struct {
 // (fig4/fig5 and fig6/fig7) coordinate through sync.Once and compute it
 // exactly once no matter which worker gets there first. Outputs are
 // deterministic: a pool of 1 and a pool of N produce identical results.
-func RunAll(exps []Experiment, workers int) []RunResult {
-	return RunAllContext(context.Background(), exps, workers)
-}
-
-// RunAllContext is RunAll with cancellation: once ctx is canceled no new
-// experiment starts, and every undispatched experiment's RunResult carries
-// ctx's error. Experiments already running finish normally (an experiment
-// is an atomic unit of work), so the returned slice mixes completed and
-// canceled entries — callers report the completed ones as a partial result.
+//
+// Once ctx is canceled no new experiment starts, and every undispatched
+// experiment's RunResult carries ctx's error. Experiments already running
+// finish normally (an experiment is an atomic unit of work), so the
+// returned slice mixes completed and canceled entries — callers report the
+// completed ones as a partial result.
 func RunAllContext(ctx context.Context, exps []Experiment, workers int) []RunResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -41,8 +41,8 @@ func stripFuncs(rs []RunResult) []RunResult {
 // same (input) order.
 func TestRunAllMatchesSequential(t *testing.T) {
 	exps := runnerSubset(t)
-	seq := RunAll(exps, 1)
-	par := RunAll(exps, 4)
+	seq := RunAllContext(context.Background(), exps, 1)
+	par := RunAllContext(context.Background(), exps, 4)
 	for i, r := range seq {
 		if r.Err != nil {
 			t.Fatalf("sequential %s: %v", r.Experiment.ID, r.Err)
@@ -68,7 +68,7 @@ func TestRunAllPropagatesPerExperimentErrors(t *testing.T) {
 		{ID: "bad", Run: func() (*Output, error) { return nil, boom }},
 		{ID: "ok2", Run: func() (*Output, error) { return &Output{Notes: []string{"b"}}, nil }},
 	}
-	rs := RunAll(exps, 2)
+	rs := RunAllContext(context.Background(), exps, 2)
 	if rs[0].Err != nil || rs[2].Err != nil {
 		t.Fatalf("healthy experiments reported errors: %v, %v", rs[0].Err, rs[2].Err)
 	}
@@ -82,11 +82,11 @@ func TestRunAllPropagatesPerExperimentErrors(t *testing.T) {
 
 // TestRunAllEmptyAndOversizedPool covers the worker-count edge cases.
 func TestRunAllEmptyAndOversizedPool(t *testing.T) {
-	if got := RunAll(nil, 8); len(got) != 0 {
-		t.Fatalf("RunAll(nil) returned %d results", len(got))
+	if got := RunAllContext(context.Background(), nil, 8); len(got) != 0 {
+		t.Fatalf("RunAllContext(nil) returned %d results", len(got))
 	}
 	one := []Experiment{{ID: "solo", Run: func() (*Output, error) { return &Output{}, nil }}}
-	rs := RunAll(one, 16) // more workers than jobs
+	rs := RunAllContext(context.Background(), one, 16) // more workers than jobs
 	if len(rs) != 1 || rs[0].Err != nil || rs[0].Output == nil {
 		t.Fatalf("oversized pool mishandled a single job: %+v", rs)
 	}

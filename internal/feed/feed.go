@@ -18,8 +18,7 @@
 //     (OverflowDropOldest, keep the freshest window, count the drops) or
 //     backpressure (OverflowBlock, stall the producer). See ring.go.
 //   - Online anomaly detection — windowed Welford mean/σ statistics with
-//     hysteresis-latched spike (SpikeDetector) and forecast-drift
-//     (DriftDetector) detectors. See welford.go.
+//     a hysteresis-latched spike detector (SpikeDetector). See welford.go.
 //
 // The package is stdlib-only and imports nothing above it; internal/core
 // consumes the detectors, internal/sim and the CLIs consume the sources.

@@ -170,7 +170,7 @@ func (t *Topology) ConservationMatrix() *mat.Dense {
 // LatencyMatrix builds the Ψ of the latency/capacity inequalities Ψ·U ≤ φ
 // (eqs. 30–33): row j sums IDC j's received workload. Like the conservation
 // H it is purely structural; the server counts enter only the right-hand
-// side (see LatencyRHS).
+// side (see LatencyRHSInto).
 func (t *Topology) LatencyMatrix() *mat.Dense {
 	psi := mat.Zeros(len(t.idcs), t.NU())
 	for j := range t.idcs {
@@ -181,17 +181,8 @@ func (t *Topology) LatencyMatrix() *mat.Dense {
 	return psi
 }
 
-// LatencyRHS builds the φ of Ψ·U ≤ φ: φ_j = µ_j·m_j − 1/D_j for the given
-// active-server counts.
-func (t *Topology) LatencyRHS(servers []int) ([]float64, error) {
-	phi := make([]float64, len(t.idcs))
-	if err := t.LatencyRHSInto(phi, servers); err != nil {
-		return nil, err
-	}
-	return phi, nil
-}
-
-// LatencyRHSInto is LatencyRHS writing into dst, which must have length N.
+// LatencyRHSInto writes the φ of Ψ·U ≤ φ into dst, which must have
+// length N: φ_j = µ_j·m_j − 1/D_j for the given active-server counts.
 func (t *Topology) LatencyRHSInto(dst []float64, servers []int) error {
 	if len(servers) != len(t.idcs) {
 		return fmt.Errorf("%d server counts for %d IDCs: %w", len(servers), len(t.idcs), ErrBadTopology)
@@ -325,6 +316,8 @@ func PaperTopology() *Topology {
 // fleet sizes and power models vary per IDC; regions cycle through the
 // embedded price regions. perIDCCapacity is the approximate latency-bounded
 // workload capacity of each IDC (req/s).
+//
+//lint:ignore testonly scale tests of several packages and the bench module's grid workload build on it
 func SyntheticTopology(portals, n int, perIDCCapacity float64) (*Topology, error) {
 	if perIDCCapacity <= 0 {
 		return nil, fmt.Errorf("capacity %g: %w", perIDCCapacity, ErrBadTopology)

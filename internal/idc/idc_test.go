@@ -167,9 +167,9 @@ func TestConservationMatrix(t *testing.T) {
 func TestLatencyCapsMatrix(t *testing.T) {
 	top := PaperTopology()
 	psi := top.LatencyMatrix()
-	phi, err := top.LatencyRHS([]int{10000, 20000, 5000})
-	if err != nil {
-		t.Fatalf("LatencyRHS: %v", err)
+	phi := make([]float64, 3)
+	if err := top.LatencyRHSInto(phi, []int{10000, 20000, 5000}); err != nil {
+		t.Fatalf("LatencyRHSInto: %v", err)
 	}
 	if psi.Rows() != 3 || psi.Cols() != 15 {
 		t.Fatalf("Ψ is %dx%d, want 3x15", psi.Rows(), psi.Cols())
@@ -193,8 +193,11 @@ func TestLatencyCapsMatrix(t *testing.T) {
 			t.Fatalf("φ[%d] = %g, want %g", j, phi[j], wantPhi[j])
 		}
 	}
-	if _, err := top.LatencyRHS([]int{1}); !errors.Is(err, ErrBadTopology) {
+	if err := top.LatencyRHSInto(phi, []int{1}); !errors.Is(err, ErrBadTopology) {
 		t.Fatalf("short servers: %v", err)
+	}
+	if err := top.LatencyRHSInto(phi[:2], []int{1, 2, 3}); !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("short dst: %v", err)
 	}
 }
 

@@ -37,7 +37,8 @@ type Analyzer struct {
 // Analyzers is the full suite, in report order. The first five check the
 // fast-loop memory contracts (PR 3); the concurrency-and-determinism pack
 // (goleak, locksafe, ctxflow, atomicmix, maporder) makes the tree
-// daemon-ready by construction — see DESIGN.md §3.11.
+// daemon-ready by construction — see DESIGN.md §3.11; testonly keeps
+// test-only surface out of the non-test files (DESIGN.md §3.6).
 var Analyzers = []*Analyzer{
 	AliasingAnalyzer,
 	HotallocAnalyzer,
@@ -49,6 +50,7 @@ var Analyzers = []*Analyzer{
 	CtxflowAnalyzer,
 	AtomicmixAnalyzer,
 	MaporderAnalyzer,
+	TestonlyAnalyzer,
 }
 
 // analyzerNames is populated from Analyzers in init — parseDirective needs

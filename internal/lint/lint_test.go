@@ -79,11 +79,18 @@ func TestFixtures(t *testing.T) {
 	for _, name := range []string{
 		"aliasing", "hotalloc", "versionbump", "floateq", "nocopy",
 		"goleak", "locksafe", "ctxflow", "atomicmix", "maporder",
+		"testonly",
 	} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			prog := loadFixture(t, name)
+			pkg := name
+			if name == "testonly" {
+				// testonly checks only packages under the module's internal/
+				// tree, and needs their importers loaded beside them.
+				pkg = "internal/testonly/..."
+			}
+			prog := loadFixture(t, pkg)
 			// Run the full suite, not just the analyzer under test: a fixture
 			// that trips an unrelated analyzer is a bug in the fixture.
 			checkExpectations(t, prog, Run(prog, nil))

@@ -181,7 +181,7 @@ func TestSolverSnapshotIsDeepCopy(t *testing.T) {
 func TestSolverDegenerateWarmStartEngagesBland(t *testing.T) {
 	// Optimum of the first solve is x=(1,1), where x1≤1, x2≤1 and the
 	// redundant x1+x2≤2 are all binding: a degenerate vertex.
-	aub, err := mat.FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	aub, err := mat.New(3, 2, []float64{1, 0, 0, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

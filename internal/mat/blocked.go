@@ -220,7 +220,6 @@ func cholUpdateRows(ld []float64, n, p0, p1, i0, i1 int) {
 // identical to the unblocked loop's.
 func (f *LU) factorBlocked(lu *Dense, piv []int, n int) error {
 	ld := lu.data
-	signs := 1
 	for p0 := 0; p0 < n; p0 += factorPanel {
 		p1 := p0 + factorPanel
 		if p1 > n {
@@ -255,7 +254,6 @@ func (f *LU) factorBlocked(lu *Dense, piv []int, n int) error {
 			if p != k {
 				swapRows(lu, p, k)
 				piv[p], piv[k] = piv[k], piv[p]
-				signs = -signs
 			}
 			pivot := ld[k*n+k]
 			for i := k + 1; i < n; i++ {
@@ -271,7 +269,6 @@ func (f *LU) factorBlocked(lu *Dense, piv []int, n int) error {
 			}
 		}
 	}
-	f.signs = signs
 	return nil
 }
 

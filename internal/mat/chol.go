@@ -191,9 +191,6 @@ func link(from []int, t int) int {
 	return from[t]
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l.Clone() }
-
 // CondEstimate returns (max diag L / min diag L)², a cheap lower bound on
 // the condition number of the factored matrix.
 func (c *Cholesky) CondEstimate() float64 {

@@ -15,8 +15,8 @@ import "fmt"
 //     storage whenever it has capacity. Matrix destinations keep their
 //     identity (the same *Dense is returned) so scratch fields stay stable.
 //   - Elementwise kernels (AddInto, SubInto, ScaleInto, AddVecInto,
-//     SubVecInto, ScaleVecInto) may alias dst with either operand: they
-//     read and write the same index only.
+//     ScaleVecInto) may alias dst with either operand: they read and write
+//     the same index only.
 //   - Product and transpose kernels (MulInto, MulVecInto, MulTVecInto,
 //     TransposeInto) must NOT alias dst with any operand — they revisit
 //     operand entries after writing dst. Aliasing is the caller's contract;
@@ -221,17 +221,6 @@ func AddVecInto(dst, x, y []float64) {
 	}
 }
 
-// SubVecInto computes dst = x - y. dst may alias x and/or y and must have
-// their common length.
-func SubVecInto(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(vecLenPanic("subvec", len(dst), len(x), len(y)))
-	}
-	for i := range x {
-		dst[i] = x[i] - y[i]
-	}
-}
-
 // ScaleVecInto computes dst = s*x. dst may alias x and must have its length.
 func ScaleVecInto(dst []float64, s float64, x []float64) {
 	if len(dst) != len(x) {
@@ -256,23 +245,4 @@ func dstLenErr(op string, got, want int) error {
 
 func vecLenPanic(op string, d, x, y int) string {
 	return fmt.Sprintf("mat: %s length mismatch dst %d, x %d, y %d", op, d, x, y)
-}
-
-// Equal reports whether a and b have the same shape and exactly equal
-// entries (IEEE ==, so NaN entries compare unequal). Nil matrices are equal
-// only to nil.
-func Equal(a, b *Dense) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		//lint:ignore floateq Equal is documented as bit-exact IEEE comparison
-		if a.data[i] != b.data[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -11,16 +11,14 @@ import (
 //
 //lint:nocopy
 type LU struct {
-	lu    *Dense
-	piv   []int // piv[i] = row of A in position i after pivoting
-	signs int   // +1 or -1, parity of the permutation
-	n     int
-	tvec  []float64 // grow-only scratch for SolveTVecInto's permutation scatter
+	lu   *Dense
+	piv  []int // piv[i] = row of A in position i after pivoting
+	n    int
+	tvec []float64 // grow-only scratch for SolveTVecInto's permutation scatter
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
-// pivoting. It returns ErrSingular if a pivot is exactly zero; callers that
-// need a tolerance should inspect MinPivot.
+// pivoting. It returns ErrSingular if a pivot is exactly zero.
 func FactorLU(a *Dense) (*LU, error) {
 	f := &LU{}
 	if err := f.Factor(a); err != nil {
@@ -53,7 +51,6 @@ func (f *LU) Factor(a *Dense) error {
 		// Bit-identical cache-tiled path for large systems (blocked.go).
 		return f.factorBlocked(lu, piv, n)
 	}
-	signs := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the largest |entry| in column k at/below row k.
 		p := k
@@ -71,7 +68,6 @@ func (f *LU) Factor(a *Dense) error {
 		if p != k {
 			swapRows(lu, p, k)
 			piv[p], piv[k] = piv[k], piv[p]
-			signs = -signs
 		}
 		pivot := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -86,7 +82,6 @@ func (f *LU) Factor(a *Dense) error {
 			}
 		}
 	}
-	f.signs = signs
 	return nil
 }
 
@@ -96,27 +91,6 @@ func swapRows(m *Dense, i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// MinPivot returns the smallest absolute diagonal entry of U, a cheap
-// conditioning signal.
-func (f *LU) MinPivot() float64 {
-	min := math.Inf(1)
-	for i := 0; i < f.n; i++ {
-		if v := math.Abs(f.lu.data[i*f.n+i]); v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.signs)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.data[i*f.n+i]
-	}
-	return d
 }
 
 // SolveVec solves A*x = b for x.
@@ -226,11 +200,6 @@ func (f *LU) Solve(b *Dense) (*Dense, error) {
 		}
 	}
 	return out, nil
-}
-
-// Inverse returns A⁻¹ from the factorization.
-func (f *LU) Inverse() (*Dense, error) {
-	return f.Solve(Identity(f.n))
 }
 
 // SolveVec solves the square system a*x = b using LU with partial pivoting.

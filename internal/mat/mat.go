@@ -25,7 +25,7 @@ var ErrSingular = errors.New("mat: matrix is singular to working precision")
 // Dense is a row-major dense matrix.
 //
 // The zero value is an empty 0x0 matrix ready for use with Reset-style
-// constructors; most callers should use New, Zeros, Identity or FromRows.
+// constructors; most callers should use New, Zeros or Identity.
 // Dense values move by pointer: a by-value copy would share the backing
 // slice with the original, so an in-place kernel reshaping one corrupts
 // the other.
@@ -50,6 +50,8 @@ func New(r, c int, data []float64) (*Dense, error) {
 
 // MustNew is New but panics on error. Intended for tests and package-level
 // literals where dimensions are static.
+//
+//lint:ignore testonly the matrix literal of the tests of several packages
 func MustNew(r, c int, data []float64) *Dense {
 	m, err := New(r, c, data)
 	if err != nil {
@@ -70,22 +72,6 @@ func Identity(n int) *Dense {
 		m.data[i*n+i] = 1
 	}
 	return m
-}
-
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return Zeros(0, 0), nil
-	}
-	c := len(rows[0])
-	m := Zeros(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("mat: row %d has length %d, want %d: %w", i, len(row), c, ErrShape)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
 }
 
 // Rows returns the number of rows.
@@ -167,9 +153,6 @@ func (m *Dense) T() *Dense { return TransposeInto(nil, m) }
 // Add returns a + b.
 func Add(a, b *Dense) (*Dense, error) { return AddInto(nil, a, b) }
 
-// Sub returns a - b.
-func Sub(a, b *Dense) (*Dense, error) { return SubInto(nil, a, b) }
-
 // Scale returns s*a as a new matrix.
 func Scale(s float64, a *Dense) *Dense { return ScaleInto(nil, s, a) }
 
@@ -200,43 +183,10 @@ func MulTVec(a *Dense, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// NormInf returns the infinity norm (max absolute row sum).
-func (m *Dense) NormInf() float64 {
-	var max float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			s += math.Abs(v)
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// NormFro returns the Frobenius norm.
-func (m *Dense) NormFro() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Dense) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Equalish reports whether a and b have the same shape and all entries
 // within tol of each other.
+//
+//lint:ignore testonly the tolerance comparison of the tests of several packages
 func Equalish(a, b *Dense, tol float64) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false
@@ -315,6 +265,8 @@ func AddVec(x, y []float64) []float64 {
 }
 
 // SubVec returns x - y.
+//
+//lint:ignore testonly the residual of the tests of several packages
 func SubVec(x, y []float64) []float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("mat: subvec length mismatch %d vs %d", len(x), len(y)))

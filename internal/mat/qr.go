@@ -15,6 +15,8 @@ type QR struct {
 }
 
 // FactorQR computes the QR factorization of a (rows >= cols).
+//
+//lint:ignore testonly reached only through LeastSquares and Rank, the tests' independent least-squares and rank reference
 func FactorQR(a *Dense) (*QR, error) {
 	if a.rows < a.cols {
 		return nil, fmt.Errorf("mat: QR of %dx%d needs rows >= cols: %w", a.rows, a.cols, ErrShape)
@@ -138,6 +140,8 @@ func (f *QR) RankTol(tol float64) int {
 }
 
 // LeastSquares solves min ||A*x - b||₂ via QR.
+//
+//lint:ignore testonly independent reference of qp's KKT-multiplier check and power's eq. (5) fit test
 func LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorQR(a)
 	if err != nil {
@@ -148,6 +152,8 @@ func LeastSquares(a *Dense, b []float64) ([]float64, error) {
 
 // Rank returns the numerical rank of a at relative tolerance tol, computed
 // via QR on a (or aᵀ when a is wide).
+//
+//lint:ignore testonly independent rank reference of ctrl's controllability test
 func Rank(a *Dense, tol float64) (int, error) {
 	work := a
 	if a.rows < a.cols {

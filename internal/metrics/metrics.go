@@ -54,19 +54,6 @@ func Min(xs []float64) float64 {
 	return min
 }
 
-// Std returns the population standard deviation.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Diffs returns the successive differences x[i] − x[i−1].
 func Diffs(xs []float64) []float64 {
 	if len(xs) < 2 {
@@ -179,12 +166,10 @@ func MAPE(actual, predicted []float64) (float64, error) {
 
 // Summary bundles the per-series numbers reported in EXPERIMENTS.md.
 type Summary struct {
-	Mean, Peak, Min    float64
-	Volatility         float64
-	MaxStep            float64
-	FinalValue         float64
-	SmoothnessVsOther  float64 // this.MaxStep / other.MaxStep, set by Compare
-	PeakReductionRatio float64 // other.Peak / this.Peak, set by Compare
+	Mean, Peak, Min float64
+	Volatility      float64
+	MaxStep         float64
+	FinalValue      float64
 }
 
 // Summarize computes a Summary for one series.
@@ -200,17 +185,4 @@ func Summarize(xs []float64) Summary {
 		s.FinalValue = xs[len(xs)-1]
 	}
 	return s
-}
-
-// Compare fills the relative fields of a against b (typically control vs
-// baseline).
-func Compare(a, b Summary) Summary {
-	out := a
-	if b.MaxStep > 0 {
-		out.SmoothnessVsOther = a.MaxStep / b.MaxStep
-	}
-	if a.Peak > 0 {
-		out.PeakReductionRatio = b.Peak / a.Peak
-	}
-	return out
 }

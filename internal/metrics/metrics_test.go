@@ -18,16 +18,10 @@ func TestBasicStats(t *testing.T) {
 	if m := Min(xs); m != 1 {
 		t.Fatalf("Min = %g", m)
 	}
-	if s := Std([]float64{2, 2, 2}); s != 0 {
-		t.Fatalf("Std constant = %g", s)
-	}
-	if s := Std([]float64{0, 2}); s != 1 {
-		t.Fatalf("Std = %g, want 1", s)
-	}
 }
 
 func TestEmptySeries(t *testing.T) {
-	if Mean(nil) != 0 || Peak(nil) != 0 || Min(nil) != 0 || Std(nil) != 0 {
+	if Mean(nil) != 0 || Peak(nil) != 0 || Min(nil) != 0 {
 		t.Fatal("empty series stats should be 0")
 	}
 	if Diffs([]float64{1}) != nil {
@@ -109,12 +103,13 @@ func TestSummarizeAndCompare(t *testing.T) {
 	if control.FinalValue != 5 {
 		t.Fatalf("FinalValue = %g", control.FinalValue)
 	}
-	c := Compare(control, baseline)
-	if math.Abs(c.SmoothnessVsOther-1.0/6.0) > 1e-12 {
-		t.Fatalf("SmoothnessVsOther = %g", c.SmoothnessVsOther)
+	// The control series moves by 1 per step where the baseline jumps by
+	// 6, and peaks at 5 against 8.
+	if control.MaxStep != 1 || baseline.MaxStep != 6 {
+		t.Fatalf("MaxStep = %g vs %g, want 1 vs 6", control.MaxStep, baseline.MaxStep)
 	}
-	if math.Abs(c.PeakReductionRatio-8.0/5.0) > 1e-12 {
-		t.Fatalf("PeakReductionRatio = %g", c.PeakReductionRatio)
+	if control.Peak != 5 || baseline.Peak != 8 || control.Min != 2 || baseline.Mean != 5 {
+		t.Fatalf("control %+v, baseline %+v", control, baseline)
 	}
 }
 

@@ -1,16 +1,13 @@
-// Package power implements the paper's server power models (§III.B):
-// the utilization/frequency model P(f, U) = a3·f·U + a2·f + a1·U + a0
-// (eq. 5), its workload reduction P(λ) = b1·λ + b0 (eq. 6), fleet power
-// (eq. 7), and electricity-energy integration (eq. 8). It also provides the
-// curve-fitting procedure the paper cites (Horvath & Skadron) as an ordinary
-// least-squares fit over measured (f, U, P) samples.
+// Package power implements the paper's server power models (§III.B): the
+// workload-linear server model P(λ) = b1·λ + b0 (eq. 6) and fleet power
+// (eq. 7). The utilization/frequency model of eq. (5), its reduction to
+// eq. (6) and the least-squares curve fit the paper cites (Horvath &
+// Skadron) are checked in power_test.go; no tick fits or reduces a model.
 package power
 
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/mat"
 )
 
 // ErrBadModel is returned for non-physical model parameters.
@@ -65,91 +62,6 @@ func (m ServerModel) FleetPower(servers int, lambda float64) float64 {
 func (m ServerModel) PeakFleetPower(servers int, peakRate float64) float64 {
 	return m.FleetPower(servers, float64(servers)*peakRate)
 }
-
-// UtilizationModel is the paper's eq. (5): P(f, U) = A3·f·U + A2·f + A1·U + A0.
-type UtilizationModel struct {
-	A0, A1, A2, A3 float64
-}
-
-// Reduce converts the utilization model at a fixed CPU frequency f into the
-// workload-linear form of eq. (6) using U = λ/f:
-//
-//	b0 = a2·f + a0,  b1 = a3 + a1/f.
-func (u UtilizationModel) Reduce(freq float64) (ServerModel, error) {
-	if freq <= 0 {
-		return ServerModel{}, fmt.Errorf("frequency %g: %w", freq, ErrBadModel)
-	}
-	return ServerModel{
-		B0: u.A2*freq + u.A0,
-		B1: u.A3 + u.A1/freq,
-	}, nil
-}
-
-// Sample is one power measurement at a frequency/utilization operating point.
-type Sample struct {
-	Freq, Util, Watts float64
-}
-
-// FitUtilizationModel performs the paper's curve-fitting step: an ordinary
-// least-squares fit of eq. (5) over measured samples. At least four samples
-// spanning distinct (f, U) points are required.
-func FitUtilizationModel(samples []Sample) (UtilizationModel, error) {
-	if len(samples) < 4 {
-		return UtilizationModel{}, fmt.Errorf("need ≥ 4 samples, got %d: %w", len(samples), ErrBadModel)
-	}
-	design := mat.Zeros(len(samples), 4)
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		design.Set(i, 0, 1)
-		design.Set(i, 1, s.Util)
-		design.Set(i, 2, s.Freq)
-		design.Set(i, 3, s.Freq*s.Util)
-		y[i] = s.Watts
-	}
-	coef, err := mat.LeastSquares(design, y)
-	if err != nil {
-		return UtilizationModel{}, fmt.Errorf("power: fit: %w", err)
-	}
-	return UtilizationModel{A0: coef[0], A1: coef[1], A2: coef[2], A3: coef[3]}, nil
-}
-
-// Energy integrates a power series (watts) sampled every dt seconds with the
-// trapezoidal rule, returning joules. This realizes eq. (8)'s time integral
-// for sampled data.
-func Energy(watts []float64, dt float64) float64 {
-	if len(watts) < 2 || dt <= 0 {
-		return 0
-	}
-	var sum float64
-	for i := 1; i < len(watts); i++ {
-		sum += (watts[i-1] + watts[i]) / 2 * dt
-	}
-	return sum
-}
-
-// Cost integrates price(t)·P(t) over a sampled series: prices in $/MWh,
-// power in watts, dt in seconds, result in dollars. This realizes the cost
-// integral of eq. (10) for sampled data.
-func Cost(watts, pricePerMWh []float64, dt float64) float64 {
-	n := len(watts)
-	if len(pricePerMWh) < n {
-		n = len(pricePerMWh)
-	}
-	if n < 2 || dt <= 0 {
-		return 0
-	}
-	var dollars float64
-	for i := 1; i < n; i++ {
-		// $/MWh × W × s → $: divide by (1e6 W/MW × 3600 s/h).
-		p0 := watts[i-1] * pricePerMWh[i-1]
-		p1 := watts[i] * pricePerMWh[i]
-		dollars += (p0 + p1) / 2 * dt / 3.6e9
-	}
-	return dollars
-}
-
-// JoulesToMWh converts joules to megawatt-hours.
-func JoulesToMWh(j float64) float64 { return j / 3.6e9 }
 
 // WattsToMW converts watts to megawatts.
 func WattsToMW(w float64) float64 { return w / 1e6 }

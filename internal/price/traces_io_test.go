@@ -1,19 +1,26 @@
 package price
 
 import (
-	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestReadTracesRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	orig := []*Trace{MustEmbedded(Michigan), MustEmbedded(Minnesota), MustEmbedded(Wisconsin)}
-	if err := WriteTraces(&buf, orig); err != nil {
-		t.Fatalf("WriteTraces: %v", err)
+	var csv strings.Builder
+	csv.WriteString("hour")
+	for _, tr := range orig {
+		csv.WriteString("," + string(tr.Region()))
 	}
-	parsed, err := ReadTraces(&buf)
+	for h := 0; h < 24; h++ {
+		csv.WriteString("\n" + strconv.Itoa(h))
+		for _, tr := range orig {
+			csv.WriteString("," + strconv.FormatFloat(tr.AtHour(h), 'g', -1, 64))
+		}
+	}
+	parsed, err := ReadTraces(strings.NewReader(csv.String()))
 	if err != nil {
 		t.Fatalf("ReadTraces: %v", err)
 	}
@@ -66,19 +73,5 @@ func TestReadTracesErrors(t *testing.T) {
 				t.Fatalf("err = %v, want ErrBadTrace", err)
 			}
 		})
-	}
-}
-
-func TestWriteTracesErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTraces(&buf, nil); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("no traces: %v", err)
-	}
-	short, err := NewTrace(Michigan, []float64{1, 2})
-	if err != nil {
-		t.Fatalf("NewTrace: %v", err)
-	}
-	if err := WriteTraces(&buf, []*Trace{MustEmbedded(Michigan), short}); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("mismatched lengths: %v", err)
 	}
 }

@@ -12,7 +12,7 @@
 // latency/nonnegativity inequalities.
 //
 // The solver needs a feasible starting point. Callers that cannot provide
-// one may leave X0 nil; Solve then runs an LP phase-1 (via internal/lp) with
+// one may leave X0 nil; SolveWith then runs an LP phase-1 (via internal/lp) with
 // variable splitting to construct one.
 //
 // Receding-horizon callers re-solve the same problem structure every
@@ -132,7 +132,7 @@ const (
 // Result ownership: SolveWith with a non-nil ws returns a Result whose X and
 // Active slices live in the workspace and are overwritten by the next solve
 // through the same ws. Callers that retain them across solves must copy.
-// Solve (nil ws) returns independently-owned results.
+// A nil ws returns independently-owned results.
 //
 //lint:nocopy
 type Workspace struct {
@@ -335,23 +335,10 @@ func checkFiniteRows(name string, a *mat.SparseRows) error {
 	return nil
 }
 
-// Objective evaluates ½ xᵀH x + qᵀx.
-func (p *Problem) Objective(x []float64) float64 {
-	hx, err := mat.MulVec(p.H, x)
-	if err != nil {
-		return math.NaN()
-	}
-	return 0.5*mat.Dot(x, hx) + mat.Dot(p.Q, x)
-}
-
-// Solve runs the active-set method with no cross-solve reuse.
-//
-//lint:hotpath
-func Solve(p *Problem) (*Result, error) { return SolveWith(p, nil) }
-
 // SolveWith runs the active-set method, reusing the Workspace caches when
-// ws is non-nil (see Workspace for the validity contract). Results are
-// bit-identical to Solve.
+// ws is non-nil (see Workspace for the validity contract). A nil ws solves
+// with fresh scratch and no cross-solve reuse; results are bit-identical
+// either way.
 //
 // With a warm workspace and grown scratch, a solve that stays on the
 // cached Schur path performs zero heap allocations
@@ -1089,8 +1076,8 @@ func (ws *Workspace) activeList(active []bool) []int {
 	return ws.activeIdx
 }
 
-// objective is Problem.Objective evaluated through workspace scratch: the
-// same Hx product and dot products, without the fresh Hx vector.
+// objective evaluates ½ xᵀH x + qᵀx through workspace scratch, with no
+// fresh Hx vector.
 func (ws *Workspace) objective(p *Problem, x []float64) float64 {
 	ws.hxBuf = mat.GrowVec(ws.hxBuf, p.dim())
 	if err := p.hMulVecInto(ws.hxBuf, x); err != nil {
@@ -1363,14 +1350,12 @@ func NewLSForm(m *mat.Dense, wq, wr []float64) (*LSForm, error) {
 // Hessian returns the cached H (shared, not copied).
 func (f *LSForm) Hessian() *mat.Dense { return f.h }
 
-// SolveLS lowers and solves a constrained least-squares problem.
-func SolveLS(l *LSProblem) (*Result, error) { return SolveLSWith(l, nil, nil) }
-
-// SolveLSWith lowers and solves l, reusing form's cached Hessian and ws's
-// cross-solve caches when non-nil. The form must have been built from the
-// same design matrix and weights as l (the matrix identity is checked, the
-// weights are the caller's contract), and ws follows the Workspace validity
-// contract. Results are bit-identical to SolveLS.
+// SolveLSWith lowers and solves a constrained least-squares problem,
+// reusing form's cached Hessian and ws's cross-solve caches when non-nil.
+// The form must have been built from the same design matrix and weights as
+// l (the matrix identity is checked, the weights are the caller's
+// contract), and ws follows the Workspace validity contract. Results are
+// bit-identical with or without the form and the workspace.
 func SolveLSWith(l *LSProblem, form *LSForm, ws *Workspace) (*Result, error) {
 	if form == nil {
 		//lint:ignore hotalloc form-less fallback; hot callers pass a cached LSForm

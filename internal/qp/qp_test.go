@@ -58,7 +58,7 @@ func feasible(p *Problem, x []float64, tol float64) bool {
 
 func solveOK(t *testing.T, p *Problem) *Result {
 	t.Helper()
-	res, err := Solve(p)
+	res, err := SolveWith(p, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 				t.Run(fmt.Sprintf("Solve/%s=%v", name, v), func(t *testing.T) {
 					p := problem()
 					fd.vec(p)[i] = v
-					_, err := Solve(p)
+					_, err := SolveWith(p, nil)
 					wantErr(t, err, name)
 				})
 				for _, f := range []*LSForm{nil, form} {
@@ -185,7 +185,7 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 				t.Run(fmt.Sprintf("Solve/%s=%v", name, v), func(t *testing.T) {
 					p := problem()
 					p.H.Set(i, j, v)
-					_, err := Solve(p)
+					_, err := SolveWith(p, nil)
 					wantErr(t, err, name)
 				})
 			}
@@ -221,7 +221,7 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 							if !x0 {
 								p.X0 = nil
 							}
-							_, err := Solve(p)
+							_, err := SolveWith(p, nil)
 							wantErr(t, err, name)
 						})
 					}
@@ -249,7 +249,7 @@ func TestSolveRejectsNonFinite(t *testing.T) {
 		{"Aeq/x0", "Aeq[0][0]", &Problem{H: mat.Identity(1), Q: []float64{-10}, Aeq: sparse(1, 1, math.NaN()), Beq: []float64{1}, X0: []float64{0}}},
 	} {
 		t.Run("Solve/1-var/"+tc.name, func(t *testing.T) {
-			_, err := Solve(tc.p)
+			_, err := SolveWith(tc.p, nil)
 			wantErr(t, err, tc.want)
 		})
 	}
@@ -386,7 +386,7 @@ func TestInfeasible(t *testing.T) {
 		Ain: sparse(1, 1, 1),
 		Bin: []float64{2},
 	}
-	if _, err := Solve(p); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveWith(p, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("Solve = %v, want ErrInfeasible", err)
 	}
 }
@@ -419,9 +419,28 @@ func TestRedundantActiveConstraintsPruned(t *testing.T) {
 		Bin: []float64{2, 2},
 		X0:  []float64{1, 1}, // both constraints tight here
 	}
-	res := solveOK(t, p)
+	ws := NewWorkspace()
+	res, err := SolveWith(p, ws)
+	if err != nil {
+		t.Fatalf("SolveWith: %v", err)
+	}
 	if math.Abs(res.X[0]-1) > 1e-8 || math.Abs(res.X[1]-1) > 1e-8 {
 		t.Fatalf("X = %v, want [1 1]", res.X)
+	}
+	// With the prune the loop stops in one iteration. Without it the dense
+	// KKT fallback and dropAny still reach [1 1], but take a second one.
+	if res.Iterations != 1 {
+		t.Fatalf("Iterations = %d, want 1", res.Iterations)
+	}
+	want := []pruneEntry{{id: 0}, {id: 1, pruned: true}}
+	got := ws.prune.entries
+	if len(got) != len(want) {
+		t.Fatalf("prune entries %+v, want ids 0 kept and 1 pruned", got)
+	}
+	for k := range want {
+		if got[k].id != want[k].id || got[k].pruned != want[k].pruned {
+			t.Fatalf("prune entry %d = %+v, want %+v", k, got[k], want[k])
+		}
 	}
 }
 
@@ -489,7 +508,7 @@ func TestPropertyKKTOnRandomProblems(t *testing.T) {
 			bin[n+i] = 2
 		}
 		p := &Problem{H: h, Q: q, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
-		res, err := Solve(p)
+		res, err := SolveWith(p, nil)
 		if err != nil {
 			return false
 		}
@@ -527,10 +546,11 @@ func TestPropertyObjectiveNotWorseThanProjectedSamples(t *testing.T) {
 			x0[i] = 1.0 / float64(n)
 		}
 		p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: []float64{1}, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
-		res, err := Solve(p)
+		res, err := SolveWith(p, nil)
 		if err != nil {
 			return false
 		}
+		ws := NewWorkspace()
 		for k := 0; k < 25; k++ {
 			// Random point on the simplex.
 			x := make([]float64, n)
@@ -542,7 +562,7 @@ func TestPropertyObjectiveNotWorseThanProjectedSamples(t *testing.T) {
 			for i := range x {
 				x[i] /= sum
 			}
-			if p.Objective(x) < res.Obj-1e-7 {
+			if ws.objective(p, x) < res.Obj-1e-7 {
 				return false
 			}
 		}
@@ -568,7 +588,7 @@ func TestSolveLSUnconstrainedMatchesQR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LeastSquares: %v", err)
 	}
-	res, err := SolveLS(&LSProblem{M: design, D: d})
+	res, err := SolveLSWith(&LSProblem{M: design, D: d}, nil, nil)
 	if err != nil {
 		t.Fatalf("SolveLS: %v", err)
 	}
@@ -580,11 +600,11 @@ func TestSolveLSUnconstrainedMatchesQR(t *testing.T) {
 func TestSolveLSRegularizationShrinks(t *testing.T) {
 	design := mat.Identity(2)
 	d := []float64{4, 4}
-	plain, err := SolveLS(&LSProblem{M: design, D: d})
+	plain, err := SolveLSWith(&LSProblem{M: design, D: d}, nil, nil)
 	if err != nil {
 		t.Fatalf("SolveLS: %v", err)
 	}
-	ridge, err := SolveLS(&LSProblem{M: design, D: d, Wr: []float64{3, 3}})
+	ridge, err := SolveLSWith(&LSProblem{M: design, D: d, Wr: []float64{3, 3}}, nil, nil)
 	if err != nil {
 		t.Fatalf("SolveLS ridge: %v", err)
 	}
@@ -601,7 +621,7 @@ func TestSolveLSWeightedRows(t *testing.T) {
 	// Two conflicting observations of a scalar; the heavier row wins.
 	design := mat.MustNew(2, 1, []float64{1, 1})
 	d := []float64{0, 10}
-	res, err := SolveLS(&LSProblem{M: design, D: d, Wq: []float64{1, 9}})
+	res, err := SolveLSWith(&LSProblem{M: design, D: d, Wq: []float64{1, 9}}, nil, nil)
 	if err != nil {
 		t.Fatalf("SolveLS: %v", err)
 	}
@@ -611,28 +631,28 @@ func TestSolveLSWeightedRows(t *testing.T) {
 }
 
 func TestSolveLSValidate(t *testing.T) {
-	if _, err := SolveLS(&LSProblem{}); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLSWith(&LSProblem{}, nil, nil); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("nil M: %v, want ErrBadProblem", err)
 	}
-	if _, err := SolveLS(&LSProblem{M: mat.Identity(2), D: []float64{1}}); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLSWith(&LSProblem{M: mat.Identity(2), D: []float64{1}}, nil, nil); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("short d: %v, want ErrBadProblem", err)
 	}
-	if _, err := SolveLS(&LSProblem{M: mat.Identity(2), D: []float64{1, 1}, Wq: []float64{1}}); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLSWith(&LSProblem{M: mat.Identity(2), D: []float64{1, 1}, Wq: []float64{1}}, nil, nil); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("short wq: %v, want ErrBadProblem", err)
 	}
-	if _, err := SolveLS(&LSProblem{M: mat.Identity(2), D: []float64{1, 1}, Wr: []float64{1}}); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLSWith(&LSProblem{M: mat.Identity(2), D: []float64{1, 1}, Wr: []float64{1}}, nil, nil); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("short wr: %v, want ErrBadProblem", err)
 	}
 }
 
 func TestSolveLSConstrained(t *testing.T) {
 	// Fit x to d = [3, 5] with constraint x1 = x2: optimum x = [4, 4].
-	res, err := SolveLS(&LSProblem{
+	res, err := SolveLSWith(&LSProblem{
 		M:   mat.Identity(2),
 		D:   []float64{3, 5},
 		Aeq: sparse(1, 2, 1, -1),
 		Beq: []float64{0},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatalf("SolveLS: %v", err)
 	}
@@ -682,7 +702,7 @@ func TestPropertyMixedConstraintsKKT(t *testing.T) {
 			x0[i] = 0.5
 		}
 		p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: beq, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
-		res, err := Solve(p)
+		res, err := SolveWith(p, nil)
 		if err != nil {
 			return false
 		}
@@ -716,7 +736,7 @@ func TestSchurAndDenseAgree(t *testing.T) {
 	}
 	p := &Problem{H: h, Q: q, Aeq: mat.SparseRowsFrom(aeq), Beq: []float64{3}, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: x0}
 	// The public path (Schur-enabled).
-	schur, err := Solve(p)
+	schur, err := SolveWith(p, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -287,7 +287,7 @@ func FuzzSolveMatchesRePruneReference(f *testing.F) {
 				p.H = form.Hessian()
 			}
 			want, wantErr := solveRePrune(p, NewWorkspace())
-			got, gotErr := Solve(p)
+			got, gotErr := SolveWith(p, nil)
 			sameSolve(t, "Solve", got, gotErr, want, wantErr)
 			want, wantErr = solveRePrune(p, refWS)
 			got, gotErr = SolveWith(p, ws)

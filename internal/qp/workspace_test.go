@@ -103,7 +103,7 @@ func TestSolveWithWorkspaceBitIdentical(t *testing.T) {
 // two results agree bit for bit.
 func requireWarmMatchesCold(t *testing.T, trial int, p *Problem, ws *Workspace) {
 	t.Helper()
-	cold, err := Solve(p)
+	cold, err := SolveWith(p, nil)
 	if err != nil {
 		t.Fatalf("trial %d: Solve: %v", trial, err)
 	}
@@ -160,7 +160,7 @@ func TestSolveLSWithFormBitIdentical(t *testing.T) {
 			d[i] = 2 * r.NormFloat64()
 		}
 		l := &LSProblem{M: m, D: d, Wq: wq, Wr: wr, Ain: mat.SparseRowsFrom(ain), Bin: bin, X0: make([]float64, n)}
-		cold, err := SolveLS(l)
+		cold, err := SolveLSWith(l, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: SolveLS: %v", trial, err)
 		}

@@ -1,8 +1,10 @@
 // Package queueing implements the M/M/n results the paper uses for the IDC
-// service-latency model (§III.E): Erlang-C waiting probability, the
-// simplified average latency D = P_Q/(m·µ − λ) with P_Q = 1, the latency
-// bound's implied capacity λ ≤ m·µ − 1/D (eq. 30), and the server-count
-// lower bound m = ⌈λ/µ + 1/(µ·D)⌉ (eq. 35).
+// service-latency model (§III.E): the simplified average latency
+// D = P_Q/(m·µ − λ) with P_Q = 1, the latency bound's implied capacity
+// λ ≤ m·µ − 1/D (eq. 30), and the server-count lower bound
+// m = ⌈λ/µ + 1/(µ·D)⌉ (eq. 35). The exact Erlang-C waiting probability and
+// waiting-time tail that justify the P_Q = 1 simplification are checked in
+// queueing_test.go; no tick computes them.
 package queueing
 
 import (
@@ -16,42 +18,6 @@ var ErrUnstable = errors.New("queueing: system unstable (λ ≥ m·µ)")
 
 // ErrBadParam is returned for nonpositive rates or bounds.
 var ErrBadParam = errors.New("queueing: parameter out of range")
-
-// ErlangC returns the probability that an arriving job must wait in an
-// M/M/n queue with n servers and offered load a = λ/µ (in Erlangs).
-// It requires a < n for stability.
-func ErlangC(n int, a float64) (float64, error) {
-	if n <= 0 || a < 0 {
-		return 0, fmt.Errorf("ErlangC(n=%d, a=%g): %w", n, a, ErrBadParam)
-	}
-	//lint:ignore floateq exactly-zero offered load has exactly-zero wait probability
-	if a == 0 {
-		return 0, nil
-	}
-	if a >= float64(n) {
-		return 0, fmt.Errorf("ErlangC(n=%d, a=%g): %w", n, a, ErrUnstable)
-	}
-	// Iterative Erlang-B then convert: numerically stable for large n.
-	b := 1.0
-	for k := 1; k <= n; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	rho := a / float64(n)
-	return b / (1 - rho*(1-b)), nil
-}
-
-// AvgWait returns the mean queueing delay (excluding service) of an M/M/n
-// queue with arrival rate lambda and per-server service rate mu.
-func AvgWait(n int, lambda, mu float64) (float64, error) {
-	if mu <= 0 || lambda < 0 {
-		return 0, fmt.Errorf("AvgWait(λ=%g, µ=%g): %w", lambda, mu, ErrBadParam)
-	}
-	c, err := ErlangC(n, lambda/mu)
-	if err != nil {
-		return 0, err
-	}
-	return c / (float64(n)*mu - lambda), nil
-}
 
 // Latency returns the paper's simplified average latency (eq. 14)
 //
@@ -95,20 +61,6 @@ func MinServers(lambda, mu, d float64) (int, error) {
 	return int(m), nil
 }
 
-// Utilization returns λ/(m·µ), the fraction of busy server capacity.
-func Utilization(m int, mu, lambda float64) (float64, error) {
-	if m <= 0 || mu <= 0 || lambda < 0 {
-		return 0, fmt.Errorf("Utilization(m=%d, µ=%g, λ=%g): %w", m, mu, lambda, ErrBadParam)
-	}
-	return lambda / (float64(m) * mu), nil
-}
-
-// Capacity returns the latency-bounded workload capacity of a fully
-// powered-on IDC (all M servers active), the paper's λ̄ in §IV.C.
-func Capacity(totalServers int, mu, d float64) (float64, error) {
-	return MaxThroughput(totalServers, mu, d)
-}
-
 // Feasible reports whether total demand can be served by IDCs with the given
 // full-fleet capacities — the paper's Sleep Controllability Condition:
 // Σ demand ≤ Σ capacity.
@@ -120,37 +72,4 @@ func Feasible(demand float64, capacities []float64) bool {
 		}
 	}
 	return demand <= sum
-}
-
-// WaitTail returns P(W > t) for an M/M/n queue: the waiting time satisfies
-// P(W > t) = C(n, a)·e^{−(n·µ−λ)·t} with C the Erlang-C probability.
-func WaitTail(n int, mu, lambda, t float64) (float64, error) {
-	if t < 0 {
-		return 0, fmt.Errorf("WaitTail(t=%g): %w", t, ErrBadParam)
-	}
-	c, err := ErlangC(n, lambda/mu)
-	if err != nil {
-		return 0, err
-	}
-	rate := float64(n)*mu - lambda
-	return c * math.Exp(-rate*t), nil
-}
-
-// WaitQuantile returns the waiting time t such that P(W > t) = 1 − q
-// (e.g. q = 0.99 for the 99th percentile). For q below the probability of
-// not waiting (1 − ErlangC), the quantile is 0.
-func WaitQuantile(n int, mu, lambda, q float64) (float64, error) {
-	if q <= 0 || q >= 1 {
-		return 0, fmt.Errorf("WaitQuantile(q=%g): %w", q, ErrBadParam)
-	}
-	c, err := ErlangC(n, lambda/mu)
-	if err != nil {
-		return 0, err
-	}
-	tail := 1 - q
-	if tail >= c {
-		return 0, nil // the q-quantile job does not wait at all
-	}
-	rate := float64(n)*mu - lambda
-	return math.Log(c/tail) / rate, nil
 }

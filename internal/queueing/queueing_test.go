@@ -2,10 +2,84 @@ package queueing
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// The exact M/M/n waiting-time results below back the simplified latency
+// model of queueing.go: P_Q = ErlangC ≤ 1, so Latency bounds the mean wait.
+// No tick computes them; the tests check them against closed forms.
+
+// ErlangC returns the probability that an arriving job must wait in an
+// M/M/n queue with n servers and offered load a = λ/µ (in Erlangs).
+// It requires a < n for stability.
+func ErlangC(n int, a float64) (float64, error) {
+	if n <= 0 || a < 0 {
+		return 0, fmt.Errorf("ErlangC(n=%d, a=%g): %w", n, a, ErrBadParam)
+	}
+	// An exactly-zero offered load has an exactly-zero wait probability.
+	if a == 0 {
+		return 0, nil
+	}
+	if a >= float64(n) {
+		return 0, fmt.Errorf("ErlangC(n=%d, a=%g): %w", n, a, ErrUnstable)
+	}
+	// Iterative Erlang-B then convert: numerically stable for large n.
+	b := 1.0
+	for k := 1; k <= n; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	rho := a / float64(n)
+	return b / (1 - rho*(1-b)), nil
+}
+
+// AvgWait returns the mean queueing delay (excluding service) of an M/M/n
+// queue with arrival rate lambda and per-server service rate mu.
+func AvgWait(n int, lambda, mu float64) (float64, error) {
+	if mu <= 0 || lambda < 0 {
+		return 0, fmt.Errorf("AvgWait(λ=%g, µ=%g): %w", lambda, mu, ErrBadParam)
+	}
+	c, err := ErlangC(n, lambda/mu)
+	if err != nil {
+		return 0, err
+	}
+	return c / (float64(n)*mu - lambda), nil
+}
+
+// WaitTail returns P(W > t) for an M/M/n queue: the waiting time satisfies
+// P(W > t) = C(n, a)·e^{−(n·µ−λ)·t} with C the Erlang-C probability.
+func WaitTail(n int, mu, lambda, t float64) (float64, error) {
+	if t < 0 {
+		return 0, fmt.Errorf("WaitTail(t=%g): %w", t, ErrBadParam)
+	}
+	c, err := ErlangC(n, lambda/mu)
+	if err != nil {
+		return 0, err
+	}
+	rate := float64(n)*mu - lambda
+	return c * math.Exp(-rate*t), nil
+}
+
+// WaitQuantile returns the waiting time t such that P(W > t) = 1 − q
+// (e.g. q = 0.99 for the 99th percentile). For q below the probability of
+// not waiting (1 − ErlangC), the quantile is 0.
+func WaitQuantile(n int, mu, lambda, q float64) (float64, error) {
+	if q <= 0 || q >= 1 {
+		return 0, fmt.Errorf("WaitQuantile(q=%g): %w", q, ErrBadParam)
+	}
+	c, err := ErlangC(n, lambda/mu)
+	if err != nil {
+		return 0, err
+	}
+	tail := 1 - q
+	if tail >= c {
+		return 0, nil // the q-quantile job does not wait at all
+	}
+	rate := float64(n)*mu - lambda
+	return math.Log(c/tail) / rate, nil
+}
 
 func TestErlangCSingleServer(t *testing.T) {
 	// M/M/1: waiting probability equals utilization ρ = a.
@@ -153,16 +227,6 @@ func TestMaxThroughputNegativeWhenTooFewServers(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	u, err := Utilization(10, 2, 15)
-	if err != nil {
-		t.Fatalf("Utilization: %v", err)
-	}
-	if math.Abs(u-0.75) > 1e-12 {
-		t.Fatalf("Utilization = %g, want 0.75", u)
-	}
-}
-
 func TestFeasible(t *testing.T) {
 	// Paper's Sleep Controllability Condition with Table I/II numbers:
 	// total demand 100000 vs capacities mjµj − 1/D.
@@ -170,9 +234,9 @@ func TestFeasible(t *testing.T) {
 	mus := []float64{2, 1.25, 1.75}
 	ms := []int{30000, 40000, 20000}
 	for j := range caps {
-		c, err := Capacity(ms[j], mus[j], 0.001)
+		c, err := MaxThroughput(ms[j], mus[j], 0.001)
 		if err != nil {
-			t.Fatalf("Capacity: %v", err)
+			t.Fatalf("MaxThroughput: %v", err)
 		}
 		caps[j] = c
 	}
@@ -196,9 +260,6 @@ func TestParamErrors(t *testing.T) {
 	}
 	if _, err := MaxThroughput(-1, 1, 1); !errors.Is(err, ErrBadParam) {
 		t.Fatalf("m<0: %v", err)
-	}
-	if _, err := Utilization(0, 1, 1); !errors.Is(err, ErrBadParam) {
-		t.Fatalf("m=0 utilization: %v", err)
 	}
 }
 

@@ -47,7 +47,8 @@ func New(top *idc.Topology, cfg Config) (*Controller, error) {
 	if cfg.RampDownLimit < 0 {
 		return nil, fmt.Errorf("ramp-down limit %d: %w", cfg.RampDownLimit, ErrBadConfig)
 	}
-	if cfg.HysteresisFrac < 0 || cfg.HysteresisFrac >= 1 {
+	// !(f >= 0 && f < 1) also rejects NaN, which fails every comparison.
+	if !(cfg.HysteresisFrac >= 0 && cfg.HysteresisFrac < 1) {
 		return nil, fmt.Errorf("hysteresis fraction %g: %w", cfg.HysteresisFrac, ErrBadConfig)
 	}
 	return &Controller{cfg: cfg, top: top}, nil
@@ -107,23 +108,4 @@ func (c *Controller) Counts(a *idc.Allocation, prev []int) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// Energy returns the idle power (watts) burned by servers kept online above
-// the bare requirement — the price paid for ramping and hysteresis.
-func (c *Controller) Energy(a *idc.Allocation, counts []int) (float64, error) {
-	required, err := c.Required(a)
-	if err != nil {
-		return 0, err
-	}
-	if len(counts) != len(required) {
-		return 0, fmt.Errorf("%d counts for %d IDCs: %w", len(counts), len(required), ErrBadConfig)
-	}
-	var waste float64
-	for j, m := range counts {
-		if extra := m - required[j]; extra > 0 {
-			waste += float64(extra) * c.top.IDC(j).Power.B0
-		}
-	}
-	return waste, nil
 }

@@ -2,6 +2,7 @@ package sleep
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/idc"
@@ -27,6 +28,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(top, Config{HysteresisFrac: 1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("hysteresis = 1: %v", err)
+	}
+	// NaN fails both range comparisons; accepted, it ran Counts with no
+	// hysteresis at all.
+	if _, err := New(top, Config{HysteresisFrac: math.NaN()}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("NaN hysteresis: %v", err)
 	}
 }
 
@@ -146,21 +152,5 @@ func TestCountsValidation(t *testing.T) {
 	}
 	if _, err := c.Counts(testAlloc(t, []float64{0, 0, 0}), []int{1}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("short prev: %v", err)
-	}
-}
-
-func TestEnergyWaste(t *testing.T) {
-	c, _ := New(idc.PaperTopology(), Config{})
-	a := testAlloc(t, []float64{15000, 0, 0})
-	// 100 extra Michigan servers at 150 W idle = 15 kW.
-	waste, err := c.Energy(a, []int{8100, 800, 572})
-	if err != nil {
-		t.Fatalf("Energy: %v", err)
-	}
-	if waste != 100*150 {
-		t.Fatalf("waste = %g, want 15000", waste)
-	}
-	if _, err := c.Energy(a, []int{1}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("short counts: %v", err)
 	}
 }

@@ -201,17 +201,6 @@ func poisson(rng *rand.Rand, mean float64) float64 {
 	return float64(k - 1)
 }
 
-// StationaryMean returns the long-run mean rate of the MMPP.
-func (m *MMPP2) StationaryMean() float64 {
-	p12, p21 := m.cfg.P12, m.cfg.P21
-	//lint:ignore floateq degenerate-chain guard: both transition probabilities exactly zero
-	if p12+p21 == 0 {
-		return m.cfg.Rate1 // chain never leaves state 0
-	}
-	pi1 := p12 / (p12 + p21) // long-run fraction in state 1
-	return (1-pi1)*m.cfg.Rate1 + pi1*m.cfg.Rate2
-}
-
 // Portals couples one generator per front-end portal (§III.A) and emits the
 // per-step demand vector L = (L1 … LC).
 type Portals struct {
@@ -257,21 +246,6 @@ func (p *Portals) Total(step int) float64 {
 // TableI returns the paper's Table I portal demands (req/s).
 func TableI() []float64 {
 	return []float64{30000, 15000, 15000, 20000, 20000}
-}
-
-// PaperPortals returns constant-rate portals with the Table I demands, the
-// configuration of the §V experiments.
-func PaperPortals() *Portals {
-	rates := TableI()
-	gens := make([]Generator, len(rates))
-	for i, r := range rates {
-		gens[i] = Constant(r)
-	}
-	p, err := NewPortals(gens...)
-	if err != nil {
-		panic(err) // unreachable: static config
-	}
-	return p
 }
 
 // DailyPortals returns the synthetic day of the daily experiment at
