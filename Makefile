@@ -40,12 +40,14 @@
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
-#   make fuzz-smoke — each internal/mat, internal/lp and internal/qp fuzzer
-#                  for 10 s past its seed corpus (about 100 s in all): the
-#                  bit-identity fuzzers of the blocked and chain-interleaved
-#                  kernels, of the support-restricted simplex tableau and of
-#                  the QP's once-per-solve prune against their reference
-#                  loops, and the LP input gate.
+#   make fuzz-smoke — each internal/mat, internal/lp, internal/qp and
+#                  internal/ctrl fuzzer for 10 s past its seed corpus (about
+#                  110 s in all): the bit-identity fuzzers of the blocked and
+#                  chain-interleaved kernels, of the support-restricted
+#                  simplex tableau and of the QP's once-per-solve prune
+#                  against their reference loops, of the MPC's Hessian and
+#                  workspace carry across price-only model swaps against the
+#                  uncached MPC, and the LP input gate.
 #                  `go test` alone runs only the seeds.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
@@ -54,11 +56,12 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR21.json
-BENCH_REF ?= BENCH_PR21.json
+BENCH_JSON ?= BENCH_PR23.json
+BENCH_REF ?= BENCH_PR23.json
 MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
 LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
 QP_FUZZ = FuzzSolveMatchesRePruneReference
+CTRL_FUZZ = FuzzPriceSwapMatchesUncached
 
 .PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke
 
@@ -101,6 +104,10 @@ fuzz-smoke:
 	@for f in $(QP_FUZZ); do \
 		echo "$$f"; \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/qp || exit 1; \
+	done
+	@for f in $(CTRL_FUZZ); do \
+		echo "$$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/ctrl || exit 1; \
 	done
 
 bench:

@@ -22,6 +22,7 @@ import (
 	"repro/internal/price"
 	"repro/internal/qp"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -120,7 +121,7 @@ func BenchmarkFig6PeakShaving(b *testing.B) {
 // BenchmarkGridC8N6 runs the closed loop of the grid-c8n6 tick-benchmark
 // workload: the C8×N6 synthetic grid (144 QP variables) at 9000 req/s per
 // portal, 140 steps of 30 s from 6 a.m. with the hourly slow loop, so the
-// 7 a.m. price change re-plans the MPC from a cold condensed cache once.
+// 7 a.m. price change re-plans the MPC once, on a rebuilt condensed cache.
 func BenchmarkGridC8N6(b *testing.B) {
 	top, err := idc.SyntheticTopology(8, 6, 20000)
 	if err != nil {
@@ -142,6 +143,33 @@ func BenchmarkGridC8N6(b *testing.B) {
 			Ts:        30,
 			StartHour: 6,
 			MPC:       ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 4, PredHorizon: 6, CtrlHorizon: 3},
+		}
+	})
+}
+
+// BenchmarkVolatileShave runs the closed loop of the volatile-shave
+// tick-benchmark workload: the paper topology over one synthetic day of
+// 288 five-minute steps (workload.DailyPortals, seed 7) under bid-stack
+// real-time prices, with the Fig. 6 budgets, forecasting on and a slow
+// tick on every step. Every tick brings new prices and so a model swap:
+// the one pinned line that rebuilds the condensed cache each tick.
+func BenchmarkVolatileShave(b *testing.B) {
+	benchScenario(b, func() sim.Scenario {
+		portals, err := workload.DailyPortals(288, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sim.Scenario{
+			Name:         "bench-volatile-shave",
+			Topology:     idc.PaperTopology(),
+			Prices:       price.NewBidStackModel(price.NewEmbeddedModel(), price.BidStackConfig{Sigma: 2, Seed: 7}),
+			DemandSource: feed.FromFunc(portals.Demands),
+			Steps:        288,
+			Ts:           300,
+			SlowEvery:    1,
+			MPC:          ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
+			Budgets:      []float64{5.13e6, 10.26e6, 4.275e6},
+			UseForecast:  true,
 		}
 	})
 }

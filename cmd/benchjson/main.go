@@ -189,7 +189,9 @@ func readRef(gate, path string) (*Summary, error) {
 // previous snapshot: the fast-loop MPC solve and the warm reference LP —
 // the two per-step paths with a real-time budget — the grid-c8n6 closed
 // loop (140 ticks at C8×N6, whose 144 QP variables run the blocked
-// Cholesky and the row-streaming back-solve), plus the planet-scale
+// Cholesky and the row-streaming back-solve), the volatile-shave closed
+// loop (288 ticks, each a slow tick with new prices and so a model swap
+// and condensed-cache rebuild), plus the planet-scale
 // solver-kernel benchmarks (the structured MPC step and the revised-simplex
 // scaling points), which exist precisely to keep the large-topology story
 // honest. Everything else is tracked but not gated (cold paths and figure
@@ -198,6 +200,7 @@ var perfPinned = []string{
 	"MPCStep",
 	"ReferenceLP/Warm",
 	"GridC8N6",
+	"VolatileShave",
 	"MPCStepScaling/C20xN10",
 	"MPCStepScaling/C50xN20",
 	"SimplexScaling/C50xN20",

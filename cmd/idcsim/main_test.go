@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/idc"
 	"repro/internal/price"
 	"repro/internal/sim"
@@ -309,6 +311,15 @@ func TestFeedFlag(t *testing.T) {
 	}
 	if err := run([]string{"-steps", "2", "-feed", "/no/such/feed.jsonl"}, &buf); err == nil {
 		t.Fatal("missing feed file accepted")
+	}
+
+	// A negative demand in the stream is a malformed sample.
+	bad := filepath.Join(dir, "negative.jsonl")
+	if err := os.WriteFile(bad, []byte(`{"values": [30000, -15000, 15000, 20000, 20000]}`+"\n"), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := run([]string{"-steps", "2", "-no-baseline", "-feed", bad}, &buf); !errors.Is(err, feed.ErrBadSample) {
+		t.Fatalf("negative-demand feed: err = %v, want feed.ErrBadSample", err)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"repro/internal/feed"
 	"repro/internal/forecast"
 	"repro/internal/idc"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/price"
@@ -344,12 +345,15 @@ func (c *Controller) Step(demands []float64) (*Telemetry, error) {
 		start = c.now()
 	}
 	top := c.cfg.Topology
+	// A malformed demand vector is a bad sample of the demand stream, as a
+	// non-finite price is of the price feed (slowTick), and stays
+	// ErrBadConfig for the callers that match that.
 	if len(demands) != top.C() {
-		return nil, fmt.Errorf("%d demands for %d portals: %w", len(demands), top.C(), ErrBadConfig)
+		return nil, fmt.Errorf("%d demands for %d portals: %w: %w", len(demands), top.C(), ErrBadConfig, feed.ErrBadSample)
 	}
 	for i, d := range demands {
 		if !(d >= 0) || math.IsInf(d, 0) {
-			return nil, fmt.Errorf("demand[%d] = %g: %w", i, d, ErrBadConfig)
+			return nil, fmt.Errorf("demand[%d] = %g: %w: %w", i, d, ErrBadConfig, feed.ErrBadSample)
 		}
 	}
 	if !top.Feasible(demands) {
@@ -541,9 +545,9 @@ func (c *Controller) slowTick(hour int, demands []float64) error {
 		// Rebuild the folded model (eq. 36) only when the floored prices
 		// changed. The model depends on nothing else that varies (topology
 		// and Ts are fixed), so keeping it on a bitwise-equal vector is
-		// exact — and it keeps the MPC's condensed cache, QP workspace and
-		// warm-start plan, which a new model identity would discard.
-		if c.model == nil || !sameBits(prices, c.prices) {
+		// exact — and it keeps the MPC's condensed cache and warm-start
+		// plan, which a new model identity would discard.
+		if c.model == nil || !mat.SameBits(prices, c.prices) {
 			model, err := ctrl.NewFoldedModel(top, prices, c.cfg.Ts)
 			if err != nil {
 				return err
@@ -713,19 +717,6 @@ func (c *Controller) referenceTrajectory(prices []float64) [][]float64 {
 		return nil
 	}
 	return traj
-}
-
-// sameBits reports whether a and b hold bitwise-identical values.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func anyPositive(xs []float64) bool {

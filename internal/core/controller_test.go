@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/ctrl"
+	"repro/internal/feed"
 	"repro/internal/forecast"
 	"repro/internal/idc"
 	"repro/internal/price"
@@ -169,7 +170,9 @@ func TestStepValidation(t *testing.T) {
 // TestNonFiniteInputsRejected pins the controller boundary: a NaN or
 // infinite Ts, budget or demand is ErrBadConfig, the error a negative value
 // gets. A NaN demand is not ErrInfeasible, and a rejected budget never
-// reaches the next slow tick.
+// reaches the next slow tick. A rejected demand vector — a non-finite or
+// negative entry, or the wrong length — is also feed.ErrBadSample, the
+// class of a malformed stream sample.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	newWith := func(mutate func(*Config)) func(*testing.T) error {
@@ -204,20 +207,31 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 			return err
 		}
 	}
-	cases := map[string]func(*testing.T) error{
-		"NaN Ts":          newWith(func(c *Config) { c.Ts = nan }),
-		"+Inf Ts":         newWith(func(c *Config) { c.Ts = inf }),
-		"NaN budget":      newWith(func(c *Config) { c.Budgets = []float64{nan, 0, 0} }),
-		"+Inf budget":     newWith(func(c *Config) { c.Budgets = []float64{0, inf, 0} }),
-		"SetBudgets NaN":  setBudgets([]float64{nan, 0, 0}),
-		"SetBudgets +Inf": setBudgets([]float64{0, 0, inf}),
-		"NaN demand":      step([]float64{nan, 0, 0, 0, 0}),
-		"+Inf demand":     step([]float64{inf, 0, 0, 0, 0}),
+	cases := map[string]struct {
+		run func(*testing.T) error
+		// badSample marks a rejected demand vector, which is also
+		// feed.ErrBadSample.
+		badSample bool
+	}{
+		"NaN Ts":          {run: newWith(func(c *Config) { c.Ts = nan })},
+		"+Inf Ts":         {run: newWith(func(c *Config) { c.Ts = inf })},
+		"NaN budget":      {run: newWith(func(c *Config) { c.Budgets = []float64{nan, 0, 0} })},
+		"+Inf budget":     {run: newWith(func(c *Config) { c.Budgets = []float64{0, inf, 0} })},
+		"SetBudgets NaN":  {run: setBudgets([]float64{nan, 0, 0})},
+		"SetBudgets +Inf": {run: setBudgets([]float64{0, 0, inf})},
+		"NaN demand":      {run: step([]float64{nan, 0, 0, 0, 0}), badSample: true},
+		"+Inf demand":     {run: step([]float64{inf, 0, 0, 0, 0}), badSample: true},
+		"negative demand": {run: step([]float64{0, -1, 0, 0, 0}), badSample: true},
+		"short demand":    {run: step([]float64{0, 0, 0, 0}), badSample: true},
 	}
-	for name, run := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := run(t); !errors.Is(err, ErrBadConfig) {
+			err := tc.run(t)
+			if !errors.Is(err, ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
+			}
+			if tc.badSample && !errors.Is(err, feed.ErrBadSample) {
+				t.Fatalf("err = %v, want feed.ErrBadSample too", err)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/feed"
 	"repro/internal/idc"
+	"repro/internal/mat"
 	"repro/internal/price"
 	"repro/internal/sleep"
 	"repro/internal/workload"
@@ -298,7 +299,7 @@ func TestNonFinitePriceIsAFeedFault(t *testing.T) {
 			if !errors.Is(err, feed.ErrBadSample) {
 				t.Fatalf("Step = %v, want feed.ErrBadSample", err)
 			}
-			if c.model != model || !sameBits(c.prices, prices) {
+			if c.model != model || !mat.SameBits(c.prices, prices) {
 				t.Errorf("bad price changed the held state: prices %v → %v, model kept %v",
 					prices, c.prices, c.model == model)
 			}

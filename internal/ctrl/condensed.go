@@ -1,6 +1,8 @@
 package ctrl
 
 import (
+	"math"
+
 	"repro/internal/idc"
 	"repro/internal/mat"
 	"repro/internal/qp"
@@ -94,8 +96,10 @@ type condensed struct {
 	// caches of its other models and never written.
 	cons *constraints
 
-	// ws carries the QP solver's cross-solve caches; valid exactly as long
-	// as this condensed is (fixed H and constraint structure).
+	// ws carries the QP solver's cross-solve caches, which depend on the
+	// Hessian and the constraint rows alone. A price-only model swap that
+	// leaves the Hessian's bits unchanged hands it, with form's Hessian, to
+	// the next condensed (carriesHessian); any other swap builds both anew.
 	ws *qp.Workspace
 }
 
@@ -104,8 +108,11 @@ type condensed struct {
 // construction is the exact code the uncached MPC.Step ran inline, moved
 // here so the fast loop can reuse it. (The intermediate phiG[t] = Φ^t·G
 // terms exist only during construction — they fold into cumG and are not
-// retained.)
-func newCondensed(model *Model, cfg MPCConfig, cons *constraints) (*condensed, error) {
+// retained.) prev is the cache this one replaces, or nil; when lowering the
+// new model gives prev's dense Hessian bit for bit, the new cache shares
+// that Hessian and takes over prev's workspace instead of building both
+// again (DESIGN.md §3.4).
+func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condensed) (*condensed, error) {
 	top := model.Topology()
 	ns := model.StateDim()
 	nu := model.InputDim()
@@ -222,10 +229,20 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints) (*condensed, e
 	// (it never does for the ridge-floored wr built above, but the fallback
 	// keeps the controller total); a rejection drops to the dense form.
 	var form *qp.LSForm
+	var ws *qp.Workspace
 	if nu*b2 >= qp.StructuredMinVars && !cfg.ForceDense {
 		if f, err := qp.NewStructuredLSForm(theta, wq, wr); err == nil {
 			form = f
 		}
+	}
+	if form == nil && prev.carriesHessian(theta, wq, wr, cons) {
+		f, err := qp.NewSharedLSForm(theta, prev.form)
+		if err != nil {
+			return nil, err
+		}
+		form, ws = f, prev.ws
+		// For memory alone: the factors are recomputed bit for bit.
+		ws.DropSchurFactors()
 	}
 	if form == nil {
 		f, err := qp.NewLSForm(theta, wq, wr)
@@ -233,6 +250,9 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints) (*condensed, e
 			return nil, err
 		}
 		form = f
+	}
+	if ws == nil {
+		ws = qp.NewWorkspace()
 	}
 
 	return &condensed{
@@ -246,8 +266,46 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints) (*condensed, e
 		wr:      wr,
 		form:    form,
 		cons:    cons,
-		ws:      qp.NewWorkspace(),
+		ws:      ws,
 	}, nil
+}
+
+// carriesHessian reports whether lowering (theta, wq, wr) over cons gives
+// the receiver's dense Hessian bit for bit, so that a cache for theta may
+// share it and the workspace built on it. That holds when the receiver is
+// a dense cache over the same constraints, wq and wr match it bit for bit,
+// and theta matches its Θ bit for bit on every row whose weight is not
+// +0. A +0-weight row may differ: Lower scales it to ±0 and MulInto adds
+// its products, all ±0, into accumulators that start at +0 and so never
+// change a bit (DESIGN.md §3.4) — provided the row is finite in both, as
+// 0·±Inf is NaN. With CostWeight 0, the default, this is every swap that
+// changes only prices, which enter Θ on the C̄ rows alone.
+func (cd *condensed) carriesHessian(theta *mat.Dense, wq, wr []float64, cons *constraints) bool {
+	if cd == nil || cd.cons != cons || cd.form.Hessian() == nil ||
+		!mat.SameBits(cd.wq, wq) || !mat.SameBits(cd.wr, wr) {
+		return false
+	}
+	for r, w := range wq {
+		old, cur := cd.theta.RowView(r), theta.RowView(r)
+		if math.Float64bits(w) != 0 {
+			if !mat.SameBits(old, cur) {
+				return false
+			}
+		} else if !finite(old) || !finite(cur) {
+			return false
+		}
+	}
+	return true
+}
+
+// finite reports whether every entry of xs is finite.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // valid reports whether the cache still matches the given model.

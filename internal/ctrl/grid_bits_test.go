@@ -19,8 +19,9 @@ const gridBits = 0x6622b0005d33dd2d
 // TestMPCGridBitsUnchanged pins the C8×N6 solve path of the grid-c8n6
 // benchmark workload (144 QP variables) across a model swap. It runs 40
 // steps with moving demand; at step 20 a model with other prices replaces
-// the first, so the condensed cache and its QP workspace start cold, as
-// after the 7 a.m. price change. Portal 0's demand is 0 for steps 8–11,
+// the first, so the condensed cache is rebuilt and the warm start dropped,
+// as after the 7 a.m. price change, while the Hessian and the QP workspace
+// carry over (CostWeight 0). Portal 0's demand is 0 for steps 8–11,
 // which makes all its nonnegativity rows active alongside its conservation
 // row, a dependent set that pruneDependent must prune. The hash covers
 // every step's QP iteration count and the bits of U, so a changed pivot, a

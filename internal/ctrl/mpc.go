@@ -217,7 +217,6 @@ func (m *MPC) condensedFor(model *Model) (*condensed, error) {
 			m.instr.ModelSwaps.Inc()
 		}
 		m.prevZ = nil
-		m.cache = nil
 		m.lastModel = model
 		m.lastVersion = model.Version()
 	}
@@ -230,8 +229,13 @@ func (m *MPC) condensedFor(model *Model) (*condensed, error) {
 		//lint:ignore hotalloc built once per topology shape; model swaps reuse it
 		m.cons = newConstraints(top, m.cfg.CtrlHorizon)
 	}
+	// The cache being replaced may hand its Hessian and workspace on
+	// (newCondensed); the nocache MPC never holds one, so it always builds
+	// both fresh.
+	prev := m.cache
+	m.cache = nil
 	//lint:ignore hotalloc cold cache rebuild: runs only when the model identity changed
-	cd, err := newCondensed(model, m.cfg, m.cons)
+	cd, err := newCondensed(model, m.cfg, m.cons, prev)
 	if err != nil {
 		return nil, err
 	}

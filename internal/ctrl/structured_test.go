@@ -150,7 +150,7 @@ func TestMPCSmallTopologyStaysDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := newCondensed(model, mpc.cfg, newConstraints(top, mpc.cfg.CtrlHorizon))
+	cd, err := newCondensed(model, mpc.cfg, newConstraints(top, mpc.cfg.CtrlHorizon), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

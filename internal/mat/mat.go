@@ -306,3 +306,19 @@ func NormInfVec(x []float64) float64 {
 	}
 	return max
 }
+
+// SameBits reports whether x and y have the same length and hold
+// bitwise-identical values: −0 differs from +0, and a NaN equals only a NaN
+// of the same bits. It is the test for reusing a value computed from x in
+// place of one computed from y, which float == cannot give.
+func SameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}

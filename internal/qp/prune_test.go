@@ -98,7 +98,8 @@ func stackLatencyRows(c, nIDC, b2 int, nonneg *mat.Dense) *mat.Dense {
 // a fresh mask diverges right after the equality rows. Dependent sets are
 // forced: all of one portal's nonnegativity rows at one step sum to minus
 // its conservation row, and all latency rows at one step sum to the sum of
-// that step's conservation rows.
+// that step's conservation rows. Entries a miss invalidates must release
+// their vectors.
 func TestPruneDependentMatchesDenseReference(t *testing.T) {
 	const c, nIDC, b2 = 8, 6, 3
 	const nu = c * nIDC
@@ -166,6 +167,13 @@ func TestPruneDependentMatchesDenseReference(t *testing.T) {
 		seq := ps.entries
 		if len(seq) < len(ref) {
 			t.Fatalf("call %d: %d cached entries, dense reference processed %d rows", calls, len(seq), len(ref))
+		}
+		// A suffix a miss invalidated must not stay reachable through the
+		// backing array past the sequence's length.
+		for _, e := range seq[len(seq):cap(seq)] {
+			if e.vec != nil {
+				t.Fatalf("call %d: a dropped basis vector stays in the backing array", calls)
+			}
 		}
 		for pos, e := range ref {
 			got := seq[pos]

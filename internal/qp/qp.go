@@ -120,8 +120,11 @@ const (
 //   - the Schur pair cache is stored packed, upper triangle only.
 //
 // Reusing a Workspace after H, Aeq or Ain changed produces wrong results —
-// build a fresh one instead. A nil *Workspace is accepted everywhere and
-// means "no cross-solve reuse". Not safe for concurrent use.
+// build a fresh one instead. What counts is the values, not the form: a
+// workspace stays valid across LSForms that share one H (NewSharedLSForm)
+// over the same constraint rows, since every cache above is a function of
+// H and the rows alone. A nil *Workspace is accepted everywhere and means
+// "no cross-solve reuse". Not safe for concurrent use.
 //
 // Sharing rule: a Workspace belongs to exactly one controller, and nothing
 // here is synchronized. Do not share one Workspace across controllers to
@@ -217,6 +220,18 @@ func (ws *Workspace) SetInstruments(in Instruments) { ws.instr = in }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// DropSchurFactors releases the per-call-index Schur factors and keeps
+// every other cache. The next solve refactors each call's Schur complement
+// from the pair cache, bit-identical to the dropped factor (FactorFrom), so
+// the drop trades time for memory and changes no result. A caller handing
+// the workspace to a new form over the same H (NewSharedLSForm) calls it:
+// the factors replay the old form's working sets, and keeping them would
+// hold a fresh workspace's factors on top.
+func (ws *Workspace) DropSchurFactors() {
+	clear(ws.sfc.entries)
+	ws.sfc.entries = ws.sfc.entries[:0]
+}
 
 // row returns the matrix holding constraint row id (equalities 0…mEq−1,
 // then inequalities) and the row's index in it.
@@ -445,7 +460,7 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 		res, err = activeSetLoop(p, nil, x, n, mEq, mIn, ws)
 	}
 	// Keep only the Schur slots this solve reached: a workspace lives as
-	// long as its model, and one cold solve's extra call indices would
+	// long as its Hessian, and one cold solve's extra call indices would
 	// otherwise stay allocated through every shorter warm solve after it.
 	ws.sfc.endSolve()
 	if res != nil {
@@ -1028,6 +1043,10 @@ func pruneDependent(aeq, ain *mat.SparseRows, active []bool, mEq int, ps *pruneS
 			pos++
 			return kept
 		}
+		// The cached suffix is invalid from here on. Clear it, or the
+		// backing array past the new length would keep its basis vectors
+		// alive.
+		clear(entries[pos:])
 		vec := ps.residualOf(a, i, entries[:pos])
 		pruned := vec == nil && !keepDependent
 		entries = append(entries[:pos], pruneEntry{id: id, vec: vec, pruned: pruned})
@@ -1345,6 +1364,23 @@ func NewLSForm(m *mat.Dense, wq, wr []float64) (*LSForm, error) {
 		return nil, err
 	}
 	return &LSForm{m: m, h: p.H}, nil
+}
+
+// NewSharedLSForm returns a dense form over the design matrix m that shares
+// the Hessian of the dense form from instead of lowering m again. The
+// caller guarantees that NewLSForm(m, wq, wr), with the weights from was
+// built for, would produce that Hessian bit for bit; only the shapes and
+// the mode are checked. A workspace that served from stays valid for the
+// new form, since the two share one H (see Workspace).
+func NewSharedLSForm(m *mat.Dense, from *LSForm) (*LSForm, error) {
+	if m == nil || from == nil || from.h == nil {
+		return nil, fmt.Errorf("shared LS form needs a design matrix and a dense form: %w", ErrBadProblem)
+	}
+	if m.Rows() != from.m.Rows() || m.Cols() != from.m.Cols() {
+		return nil, fmt.Errorf("design matrix %dx%d for a form over %dx%d: %w",
+			m.Rows(), m.Cols(), from.m.Rows(), from.m.Cols(), ErrBadProblem)
+	}
+	return &LSForm{m: m, h: from.h}, nil
 }
 
 // Hessian returns the cached H (shared, not copied).

@@ -97,6 +97,24 @@ func TestSolveWithWorkspaceBitIdentical(t *testing.T) {
 			t.Error("no solve inserted a working-set row mid-sequence")
 		}
 	})
+	t.Run("mpc-shaped-dropped-factors", func(t *testing.T) {
+		// Drop the Schur factors between solves, as ctrl does when it hands
+		// a workspace to a form sharing its H: they are refactored bit for
+		// bit.
+		const b2 = 3
+		r := rand.New(rand.NewSource(5))
+		h, aeq, ain := mpcShapedFixture(r, 2, 3, b2)
+		ws := NewWorkspace()
+		for trial := 0; trial < 30; trial++ {
+			requireWarmMatchesCold(t, trial, mpcShapedProblem(r, h, aeq, ain, b2), ws)
+			if trial%3 == 2 {
+				ws.DropSchurFactors()
+				if len(ws.sfc.entries) != 0 {
+					t.Fatalf("trial %d: %d Schur factors kept", trial, len(ws.sfc.entries))
+				}
+			}
+		}
+	})
 }
 
 // requireWarmMatchesCold solves p cold and through ws and fails unless the
