@@ -42,7 +42,12 @@
 #                  and not in CI.
 #   make fuzz-smoke — each internal/mat, internal/lp, internal/qp and
 #                  internal/ctrl fuzzer for 10 s past its seed corpus (about
-#                  110 s in all): the bit-identity fuzzers of the blocked and
+#                  110 s in all), with a 1 s -fuzzminimizetime
+#                  (FUZZ_MINIMIZE): at the default 60 s a 10 s run spends
+#                  its time minimizing its first new input instead of
+#                  fuzzing. A crasher is minimized within the same budget
+#                  and still fails the run.
+#                  The targets are the bit-identity fuzzers of the blocked and
 #                  chain-interleaved kernels, of the support-restricted
 #                  simplex tableau and of the QP's once-per-solve prune
 #                  against their reference loops, of the MPC's Hessian and
@@ -56,12 +61,13 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR23.json
-BENCH_REF ?= BENCH_PR23.json
+BENCH_JSON ?= BENCH_PR24.json
+BENCH_REF ?= BENCH_PR24.json
 MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
 LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
 QP_FUZZ = FuzzSolveMatchesRePruneReference
 CTRL_FUZZ = FuzzPriceSwapMatchesUncached
+FUZZ_MINIMIZE = 1s
 
 .PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke
 
@@ -95,19 +101,19 @@ leaktest:
 fuzz-smoke:
 	@for f in $(MAT_FUZZ); do \
 		echo "$$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/mat || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/mat || exit 1; \
 	done
 	@for f in $(LP_FUZZ); do \
 		echo "$$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/lp || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/lp || exit 1; \
 	done
 	@for f in $(QP_FUZZ); do \
 		echo "$$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/qp || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/qp || exit 1; \
 	done
 	@for f in $(CTRL_FUZZ); do \
 		echo "$$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s ./internal/ctrl || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -fuzzminimizetime $(FUZZ_MINIMIZE) ./internal/ctrl || exit 1; \
 	done
 
 bench:

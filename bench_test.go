@@ -307,11 +307,11 @@ func BenchmarkReferenceLP(b *testing.B) {
 	})
 }
 
-// BenchmarkSimplexScaling measures the LP solver on growing synthetic
-// transportation problems (N IDC columns × C portal rows). The sizes up to
-// C20×N12 stay below lp's revised-simplex threshold and exercise the dense
-// tableau; C50×N20 (1000 vars) and C100×N20 (2000 vars) cross it, so those
-// two points measure the sparse revised path with basis LU + eta updates.
+// BenchmarkSimplexScaling measures the LP solver's cold two-phase solve on
+// growing synthetic transportation problems (N IDC columns × C portal
+// rows), from paper scale (15 variables) to C100×N20 (2000 variables), all
+// on the one support-restricted tableau. The two largest sizes are pinned
+// by make bench: they keep the tableau's cost at planet scale measured.
 func BenchmarkSimplexScaling(b *testing.B) {
 	for _, size := range []struct{ c, n int }{{5, 3}, {10, 6}, {20, 12}, {50, 20}, {100, 20}} {
 		b.Run(sizeName(size.c, size.n), func(b *testing.B) {

@@ -274,20 +274,48 @@ func Greedy(top *idc.Topology, prices, demands []float64) (*Result, error) {
 }
 
 func TestGreedyMatchesLPObjective(t *testing.T) {
-	top := idc.PaperTopology()
-	for _, prices := range [][]float64{prices6H(), prices7H()} {
-		lpRes, err := Optimize(top, prices, workload.TableI())
+	type instance struct {
+		name    string
+		top     *idc.Topology
+		prices  []float64
+		demands []float64
+	}
+	paper := idc.PaperTopology()
+	cases := []instance{
+		{"paper-6h", paper, prices6H(), workload.TableI()},
+		{"paper-7h", paper, prices7H(), workload.TableI()},
+	}
+	// C50×N20 at 60% of its capacity: 1020 LP variables.
+	big, err := idc.SyntheticTopology(50, 20, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices := make([]float64, big.N())
+	for j := range prices {
+		prices[j] = 20 + float64(j*7%40)
+	}
+	var capacity float64
+	for _, v := range big.Capacities() {
+		capacity += v
+	}
+	demands := make([]float64, big.C())
+	for i := range demands {
+		demands[i] = 0.6 * capacity / float64(len(demands))
+	}
+	cases = append(cases, instance{"C50xN20", big, prices, demands})
+	for _, tc := range cases {
+		lpRes, err := Optimize(tc.top, tc.prices, tc.demands)
 		if err != nil {
-			t.Fatalf("Optimize: %v", err)
+			t.Fatalf("%s: Optimize: %v", tc.name, err)
 		}
-		grRes, err := Greedy(top, prices, workload.TableI())
+		grRes, err := Greedy(tc.top, tc.prices, tc.demands)
 		if err != nil {
-			t.Fatalf("Greedy: %v", err)
+			t.Fatalf("%s: Greedy: %v", tc.name, err)
 		}
 		// Cost rates agree to within one server quantum per IDC.
 		tol := 0.001 * lpRes.CostRate
 		if math.Abs(lpRes.CostRate-grRes.CostRate) > tol {
-			t.Fatalf("LP cost %g vs greedy cost %g", lpRes.CostRate, grRes.CostRate)
+			t.Fatalf("%s: LP cost %g vs greedy cost %g", tc.name, lpRes.CostRate, grRes.CostRate)
 		}
 	}
 }

@@ -267,6 +267,21 @@ func TestSetBudgetsDemandResponse(t *testing.T) {
 	}
 }
 
+// TestUnrepresentablePriceIsBadModel pins a finite price too large for the
+// model to represent, 1e303 $/MWh, as a model error: the slow tick fails
+// with ctrl.ErrBadModel rather than a malformed QP.
+func TestUnrepresentablePriceIsBadModel(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Prices = &togglePrices{val: 1e303}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := c.Step(workload.TableI()); !errors.Is(err, ctrl.ErrBadModel) {
+		t.Fatalf("Step = %v, want ctrl.ErrBadModel", err)
+	}
+}
+
 // TestNonFinitePriceIsAFeedFault pins NaN and ±Inf prices as feed faults.
 // Without a policy the slow tick fails with feed.ErrBadSample before the
 // model is rebuilt, so the model and the held prices are unchanged; under

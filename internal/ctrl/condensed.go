@@ -170,6 +170,23 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condense
 			theta.SetBlock((s-1)*ns, r*nu, cumG[s-1-r])
 		}
 	}
+	// A finite model can still overflow here: the C̄ rows sum price-weighted
+	// energy over the horizon. Θ's entries are cumG's and zeros, so checking
+	// cumG checks Θ at 1/β2 of the entries.
+	for s := range phiPow {
+		if err := checkRepresentable(model.prices, phiPow[s], "phiPow", s); err != nil {
+			return nil, err
+		}
+		if s == b1 {
+			break
+		}
+		if err := checkRepresentable(model.prices, cumG[s], "cumG", s); err != nil {
+			return nil, err
+		}
+		if err := checkRepresentable(model.prices, cumPhi[s], "cumPhi", s); err != nil {
+			return nil, err
+		}
+	}
 
 	// Row weights: CostWeight on C̄ rows, PowerWeight on E rows.
 	wq := make([]float64, ns*b1)
@@ -277,31 +294,17 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condense
 // and theta matches its Θ bit for bit on every row whose weight is not
 // +0. A +0-weight row may differ: Lower scales it to ±0 and MulInto adds
 // its products, all ±0, into accumulators that start at +0 and so never
-// change a bit (DESIGN.md §3.4) — provided the row is finite in both, as
-// 0·±Inf is NaN. With CostWeight 0, the default, this is every swap that
-// changes only prices, which enter Θ on the C̄ rows alone.
+// change a bit (DESIGN.md §3.4). That needs the row finite in both, as
+// 0·±Inf is NaN, and newCondensed has checked every Θ finite through the
+// cumG blocks it is made of. With CostWeight 0, the default, this is every
+// swap that changes only prices, which enter Θ on the C̄ rows alone.
 func (cd *condensed) carriesHessian(theta *mat.Dense, wq, wr []float64, cons *constraints) bool {
 	if cd == nil || cd.cons != cons || cd.form.Hessian() == nil ||
 		!mat.SameBits(cd.wq, wq) || !mat.SameBits(cd.wr, wr) {
 		return false
 	}
 	for r, w := range wq {
-		old, cur := cd.theta.RowView(r), theta.RowView(r)
-		if math.Float64bits(w) != 0 {
-			if !mat.SameBits(old, cur) {
-				return false
-			}
-		} else if !finite(old) || !finite(cur) {
-			return false
-		}
-	}
-	return true
-}
-
-// finite reports whether every entry of xs is finite.
-func finite(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if math.Float64bits(w) != 0 && !mat.SameBits(cd.theta.RowView(r), theta.RowView(r)) {
 			return false
 		}
 	}

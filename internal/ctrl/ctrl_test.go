@@ -8,6 +8,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/idc"
 	"repro/internal/mat"
+	"repro/internal/qp"
 	"repro/internal/workload"
 )
 
@@ -35,6 +36,50 @@ func TestNewModelValidation(t *testing.T) {
 	}
 	if _, err := NewModel(top, testPrices6H, 0); !errors.Is(err, ErrBadModel) {
 		t.Fatalf("ts=0: %v", err)
+	}
+}
+
+// TestUnrepresentablePriceIsBadModel pins prices too large for the model
+// to represent as a model error, not a malformed QP: NewFoldedModel
+// rejects those that overflow Φ, G or Γ, and MPC.Step those that leave the
+// model finite but overflow the condensed prediction (1e300, whose Θ C̄
+// rows are not finite).
+func TestUnrepresentablePriceIsBadModel(t *testing.T) {
+	top, err := idc.SyntheticTopology(4, 3, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]int, top.N())
+	for j := range servers {
+		servers[j] = top.IDC(j).TotalServers
+	}
+	demands := make([]float64, top.C())
+	for i := range demands {
+		demands[i] = 5000
+	}
+	for _, bad := range []float64{1e300, 5e301, 1e302, 1e303, 1e305, math.MaxFloat64} {
+		prices := []float64{40, bad, 30}
+		model, err := NewFoldedModel(top, prices, 300)
+		if bad == 1e300 && err != nil {
+			t.Fatalf("price %g: NewFoldedModel: %v; want a finite model", bad, err)
+		}
+		if err == nil {
+			mpc, merr := NewMPC(MPCConfig{PowerWeight: 1, SmoothWeight: 1})
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			_, err = mpc.Step(StepInput{
+				Model:    model,
+				State:    make([]float64, model.StateDim()),
+				PrevU:    make([]float64, model.InputDim()),
+				Servers:  servers,
+				Demands:  demands,
+				RefPower: make([]float64, top.N()),
+			})
+		}
+		if !errors.Is(err, ErrBadModel) || errors.Is(err, qp.ErrBadProblem) {
+			t.Errorf("price %g: err = %v, want ErrBadModel", bad, err)
+		}
 	}
 }
 

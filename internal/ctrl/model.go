@@ -18,6 +18,7 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/idc"
@@ -113,8 +114,41 @@ func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
 		G:      gAll.Slice(0, ns, 0, top.NU()),
 		Gamma:  gAll.Slice(0, ns, top.NU(), top.NU()+n),
 	}
+	if err := m.checkFinite(); err != nil {
+		return nil, err
+	}
 	m.bumpVersion()
 	return m, nil
+}
+
+// checkFinite returns ErrBadModel, naming the prices, when the discretized
+// Φ, G or Γ has a NaN or ±Inf entry: mat.Discretize overflows from about
+// 5e301 $/MWh.
+func (m *Model) checkFinite() error {
+	if err := checkRepresentable(m.prices, m.Phi, "Phi", -1); err != nil {
+		return err
+	}
+	if err := checkRepresentable(m.prices, m.G, "G", -1); err != nil {
+		return err
+	}
+	return checkRepresentable(m.prices, m.Gamma, "Gamma", -1)
+}
+
+// checkRepresentable returns ErrBadModel, naming the prices, when a has a
+// NaN or ±Inf entry: a was built from prices too large for the model to
+// represent. The error calls a name, or name[k] when k ≥ 0.
+func checkRepresentable(prices []float64, a *mat.Dense, name string, k int) error {
+	for i := 0; i < a.Rows(); i++ {
+		for j, v := range a.RowView(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if k >= 0 {
+					name = fmt.Sprintf("%s[%d]", name, k)
+				}
+				return fmt.Errorf("prices %v: %s[%d][%d] = %v: %w", prices, name, i, j, v, ErrBadModel)
+			}
+		}
+	}
+	return nil
 }
 
 // bumpVersion stamps m with a fresh process-unique version. Every method
@@ -264,6 +298,9 @@ func NewFoldedModel(top *idc.Topology, prices []float64, ts float64) (*Model, er
 		Phi:    phi,
 		G:      gAll.Slice(0, ns, 0, top.NU()),
 		Gamma:  gAll.Slice(0, ns, top.NU(), top.NU()+n),
+	}
+	if err := m.checkFinite(); err != nil {
+		return nil, err
 	}
 	m.bumpVersion()
 	return m, nil

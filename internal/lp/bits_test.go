@@ -145,9 +145,9 @@ func TestDenseTableauBitsUnchanged(t *testing.T) {
 	h := fnv.New64a()
 	solve := func(p *Problem) *Result {
 		t.Helper()
-		res, err := SolveMethod(p, DenseTableau)
+		res, err := Solve(p)
 		if err != nil {
-			t.Fatalf("SolveMethod: %v", err)
+			t.Fatalf("Solve: %v", err)
 		}
 		hashResult(h, res)
 		return res

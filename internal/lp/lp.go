@@ -7,11 +7,13 @@
 //	            x ≥ 0
 //
 // It is used for the per-step electricity-cost reference optimizer
-// (Rao et al., INFOCOM'10 — eq. (46) of the paper) and as the "optimal
-// method" baseline in the experiments. Problems in this project are small
-// (tens of variables), so a dense tableau with Bland anti-cycling is both
-// simple and robust. The constraint rows come in compressed (mat.SparseRows)
-// and the tableau does its arithmetic only where a row can be nonzero.
+// (Rao et al., INFOCOM'10 — eq. (46) of the paper), as the "optimal
+// method" baseline in the experiments, and for the QP's phase-1
+// feasible-start search. Those LPs run from tens to a few thousand
+// variables; one dense tableau with Bland anti-cycling serves them all. The
+// constraint rows come in compressed (mat.SparseRows) and the tableau does
+// its arithmetic only where a row can be nonzero, so a pivot's elimination
+// and pricing scale with the rows' supports rather than the tableau's width.
 package lp
 
 import (
@@ -61,9 +63,9 @@ func (s Status) String() string {
 var ErrBadProblem = errors.New("lp: malformed problem")
 
 // Problem is a linear program in the package's canonical form. Any of the
-// constraint groups may be nil/empty. By default all variables are
-// nonnegative; Lo/Hi override that per variable. The constraint matrices
-// are compressed rows: mat.SparseRowsFrom compresses a dense matrix, and
+// constraint groups may be nil/empty, and every variable is nonnegative (a
+// bounded variable is one more Aub row). The constraint matrices are
+// compressed rows: mat.SparseRowsFrom compresses a dense matrix, and
 // mat.MakeSparseRows takes rows built directly.
 type Problem struct {
 	// C is the cost vector; its length fixes the number of variables.
@@ -74,34 +76,6 @@ type Problem struct {
 	// Aub, Bub define inequality constraints Aub·x ≤ Bub.
 	Aub *mat.SparseRows
 	Bub []float64
-	// Lo, Hi optionally give per-variable bounds lo ≤ x ≤ hi. Nil means the
-	// default x ≥ 0 for every variable (Lo all zero, Hi all +Inf); non-nil
-	// slices must have one entry per variable. Lower bounds must be finite
-	// (shift the variable if a genuinely free one is needed); upper bounds
-	// may be +Inf. Bounded problems are handled natively by the revised
-	// solver — the dense tableau path rejects them, so Solve routes any
-	// bounded problem to the revised method regardless of size.
-	Lo []float64
-	Hi []float64
-}
-
-// hasBounds reports whether p carries explicit variable bounds.
-func (p *Problem) hasBounds() bool { return p.Lo != nil || p.Hi != nil }
-
-// lower returns variable j's lower bound.
-func (p *Problem) lower(j int) float64 {
-	if p.Lo == nil {
-		return 0
-	}
-	return p.Lo[j]
-}
-
-// upper returns variable j's upper bound.
-func (p *Problem) upper(j int) float64 {
-	if p.Hi == nil {
-		return math.Inf(1)
-	}
-	return p.Hi[j]
 }
 
 // Result holds a solve outcome. X is meaningful only when Status == Optimal.
@@ -121,8 +95,7 @@ type Result struct {
 	DualsUb []float64
 }
 
-// Validate checks dimensional consistency and that every number is finite
-// (upper bounds may be +Inf).
+// Validate checks dimensional consistency and that every number is finite.
 func (p *Problem) Validate() error {
 	n := len(p.C)
 	if n == 0 {
@@ -173,30 +146,6 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("Bub[%d] = %v: %w", i, v, ErrBadProblem)
 		}
 	}
-	if p.Lo != nil && len(p.Lo) != n {
-		return fmt.Errorf("Lo has length %d, want %d: %w", len(p.Lo), n, ErrBadProblem)
-	}
-	if p.Hi != nil && len(p.Hi) != n {
-		return fmt.Errorf("Hi has length %d, want %d: %w", len(p.Hi), n, ErrBadProblem)
-	}
-	for j, v := range p.Lo {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("Lo[%d] = %v (lower bounds must be finite): %w", j, v, ErrBadProblem)
-		}
-	}
-	for j, v := range p.Hi {
-		if math.IsNaN(v) || math.IsInf(v, -1) {
-			return fmt.Errorf("Hi[%d] = %v: %w", j, v, ErrBadProblem)
-		}
-	}
-	if p.hasBounds() {
-		for j := 0; j < n; j++ {
-			if p.lower(j) > p.upper(j) {
-				return fmt.Errorf("empty bound interval on variable %d: [%g, %g]: %w",
-					j, p.lower(j), p.upper(j), ErrBadProblem)
-			}
-		}
-	}
 	return nil
 }
 
@@ -235,64 +184,12 @@ const (
 // degenerate-warm-start test can force the fallback early.
 var blandAfter = 500
 
-// Method selects a simplex implementation.
-type Method int
-
-// Solve methods. Auto picks the dense tableau for small default-bound
-// problems (the paper-scale reference LPs, whose recorded iteration counts
-// and pivot sequences it preserves bit-for-bit) and the revised simplex for
-// large or explicitly bounded ones.
-const (
-	Auto Method = iota
-	DenseTableau
-	Revised
-)
-
-// revisedMinVars is the variable count at which Auto switches from the dense
-// tableau (O(m·n) memory traffic per pivot over the whole tableau) to the
-// revised simplex (work proportional to the basis size and column sparsity).
-// The threshold sits above every checksummed paper-scale topology.
-const revisedMinVars = 512
-
-// methodFor resolves Auto against the problem's size and bounds.
-func methodFor(p *Problem, m Method) Method {
-	if m != Auto {
-		return m
-	}
-	if p.hasBounds() || len(p.C) >= revisedMinVars {
-		return Revised
-	}
-	return DenseTableau
-}
-
-// Solve runs the simplex method on p, selecting the implementation by size
-// and bounds (see Method).
+// Solve runs the two-phase simplex method on p.
 func Solve(p *Problem) (*Result, error) {
-	return SolveMethod(p, Auto)
-}
-
-// SolveMethod runs the requested simplex implementation on p. The dense
-// tableau does not support explicit variable bounds and rejects bounded
-// problems with ErrBadProblem.
-func SolveMethod(p *Problem, m Method) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	switch methodFor(p, m) {
-	case Revised:
-		rv, err := newRevised(p)
-		if err != nil {
-			return nil, err
-		}
-		return rv.run(), nil
-	default:
-		if p.hasBounds() {
-			return nil, fmt.Errorf("dense tableau does not support variable bounds: %w", ErrBadProblem)
-		}
-		t := newTableau(p)
-		res := t.run()
-		return res, nil
-	}
+	return newTableau(p).run(), nil
 }
 
 // tableau is a dense simplex tableau in standard form:

@@ -170,22 +170,140 @@ func TestDegenerateCycling(t *testing.T) {
 	}
 }
 
-func TestTransportationProblem(t *testing.T) {
-	// 2 sources (supply 20, 30) × 2 sinks (demand 25, 25), costs
-	// [[1 3],[2 1]]. Optimal: x11=20, x21=5, x22=25 → 20+10+25 = 55.
-	p := &Problem{
-		C: []float64{1, 3, 2, 1},
-		Aeq: sparse(mat.MustNew(4, 4, []float64{
-			1, 1, 0, 0, // supply 1
-			0, 0, 1, 1, // supply 2
-			1, 0, 1, 0, // demand 1
-			0, 1, 0, 1, // demand 2
-		})),
-		Beq: []float64{20, 30, 25, 25},
+// transportLP builds BenchmarkSimplexScaling's transportation LP: c supply
+// rows (Σ_j x_ij = 10 + i) over n demand columns, each column capped (never
+// bindingly) at the total supply, with costs cycling through 1…13.
+func transportLP(c, n int) *Problem {
+	nv := c * n
+	cost := make([]float64, nv)
+	for k := range cost {
+		cost[k] = float64((k*7)%13 + 1)
 	}
-	res := solveOK(t, p)
-	if math.Abs(res.Obj-55) > 1e-8 {
-		t.Fatalf("Obj = %v, want 55 (X=%v)", res.Obj, res.X)
+	aeq := mat.Zeros(c, nv)
+	beq := make([]float64, c)
+	var total float64
+	for i := 0; i < c; i++ {
+		for j := 0; j < n; j++ {
+			aeq.Set(i, i*n+j, 1)
+		}
+		beq[i] = float64(10 + i)
+		total += beq[i]
+	}
+	aub := mat.Zeros(n, nv)
+	bub := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < c; i++ {
+			aub.Set(j, i*n+j, 1)
+		}
+		bub[j] = total
+	}
+	return &Problem{C: cost, Aeq: sparse(aeq), Beq: beq, Aub: sparse(aub), Bub: bub}
+}
+
+// checkCertificate requires res to be Optimal, primal feasible to 1e-7 and
+// to satisfy strong duality, Σ DualsEq·Beq + Σ DualsUb·Bub = Obj, to 1e-6
+// relative.
+func checkCertificate(t *testing.T, what string, p *Problem, res *Result) {
+	t.Helper()
+	if res.Status != Optimal {
+		t.Fatalf("%s: status %v, want optimal", what, res.Status)
+	}
+	for j, v := range res.X {
+		if v < -1e-7 {
+			t.Fatalf("%s: X[%d] = %g < 0", what, j, v)
+		}
+	}
+	for r, b := range p.Beq {
+		if got := p.Aeq.RowDot(r, res.X); math.Abs(got-b) > 1e-7*(1+math.Abs(b)) {
+			t.Fatalf("%s: equality row %d reads %g, want %g", what, r, got, b)
+		}
+	}
+	for r, b := range p.Bub {
+		if got := p.Aub.RowDot(r, res.X); got > b+1e-7*(1+math.Abs(b)) {
+			t.Fatalf("%s: inequality row %d reads %g > %g", what, r, got, b)
+		}
+	}
+	var dual float64
+	for r, y := range res.DualsEq {
+		dual += y * p.Beq[r]
+	}
+	for r, y := range res.DualsUb {
+		dual += y * p.Bub[r]
+	}
+	if math.Abs(dual-res.Obj) > 1e-6*math.Max(1, math.Abs(res.Obj)) {
+		t.Fatalf("%s: duals give %g, objective %g", what, dual, res.Obj)
+	}
+}
+
+// TestTransportationProblem solves transportation LPs cold through Solve
+// and then warm through a Solver after a cost change that moves the
+// optimum, checking each result's objective, feasibility and strong
+// duality. The C50×N20 case has 1000 variables: the size of the pinned
+// SimplexScaling benchmark line.
+func TestTransportationProblem(t *testing.T) {
+	cases := []struct {
+		name string
+		p    *Problem
+		want float64
+	}{
+		// 2 sources (supply 20, 30) × 2 sinks (demand 25, 25), costs
+		// [[1 3],[2 1]]. Optimal: x11=20, x21=5, x22=25 → 20+10+25 = 55.
+		{"2x2", &Problem{
+			C: []float64{1, 3, 2, 1},
+			Aeq: sparse(mat.MustNew(4, 4, []float64{
+				1, 1, 0, 0, // supply 1
+				0, 0, 1, 1, // supply 2
+				1, 0, 1, 0, // demand 1
+				0, 1, 0, 1, // demand 2
+			})),
+			Beq: []float64{20, 30, 25, 25},
+		}, 55},
+		// Every supply row has a cost-1 column, so the optimum ships all
+		// 1725 units at cost 1.
+		{"C50xN20", transportLP(50, 20), 1725},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			res := solveOK(t, p)
+			if math.Abs(res.Obj-tc.want) > 1e-8*tc.want {
+				t.Fatalf("Obj = %v, want %v", res.Obj, tc.want)
+			}
+			checkCertificate(t, "cold", p, res)
+
+			var s Solver
+			if _, err := s.Solve(p); err != nil {
+				t.Fatal(err)
+			}
+			// Reversing the cost order makes each source's cheapest
+			// route its dearest, so the optimum must move.
+			q := *p
+			q.C = make([]float64, len(p.C))
+			for k, v := range p.C {
+				q.C[k] = 14 - v
+			}
+			warm, err := s.Solve(&q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := s.Stats(); w != 1 {
+				t.Fatalf("the cost change did not resolve warm: %d warm solves", w)
+			}
+			checkCertificate(t, "warm", &q, warm)
+			cold := solveOK(t, &q)
+			if math.Abs(warm.Obj-cold.Obj) > 1e-9*math.Abs(cold.Obj) {
+				t.Fatalf("warm Obj %v, cold Obj %v", warm.Obj, cold.Obj)
+			}
+			moved := false
+			for k := range res.X {
+				if math.Abs(warm.X[k]-res.X[k]) > 1e-7 {
+					moved = true
+				}
+			}
+			if !moved {
+				t.Fatal("the cost change left the optimum where it was")
+			}
+		})
 	}
 }
 

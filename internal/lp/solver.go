@@ -46,19 +46,13 @@ type Instruments struct {
 //
 //lint:nocopy
 type Solver struct {
-	// Exactly one of t/rv is retained after a cold solve: the dense tableau
-	// for small default-bound problems, the revised state for large or
-	// bounded ones (same dispatch as the package-level Solve).
-	t  *tableau
-	rv *revised
+	// t is the tableau retained from the last cold solve.
+	t *tableau
 
 	// Constraint snapshot backing the warm-start eligibility check. Deep
 	// copies: callers may mutate their Problem between calls.
 	aeq, aub *mat.SparseRows
 	beq, bub []float64
-	lo, hi   []float64
-	hadLo    bool
-	hadHi    bool
 	nOrig    int
 
 	lastOptimal bool
@@ -107,14 +101,13 @@ func (s *Solver) Stats() (warm, cold int) { return s.warm, s.cold }
 // Reset drops all retained state; the next Solve runs cold.
 func (s *Solver) Reset() {
 	s.t = nil
-	s.rv = nil
 	s.lastOptimal = false
 }
 
 // canWarmStart reports whether p differs from the snapshot only in C and the
 // retained basis is still primal feasible.
 func (s *Solver) canWarmStart(p *Problem) bool {
-	if (s.t == nil && s.rv == nil) || !s.lastOptimal {
+	if s.t == nil || !s.lastOptimal {
 		return false
 	}
 	if len(p.C) != s.nOrig {
@@ -125,25 +118,6 @@ func (s *Solver) canWarmStart(p *Problem) bool {
 	}
 	if !vecEqual(p.Beq, s.beq) || !vecEqual(p.Bub, s.bub) {
 		return false
-	}
-	// Bounds shape the feasible region exactly like constraint rows do, so
-	// any change (including between nil and explicit) runs cold.
-	if (p.Lo != nil) != s.hadLo || (p.Hi != nil) != s.hadHi {
-		return false
-	}
-	if !vecEqual(p.Lo, s.lo[:len(p.Lo)]) || !vecEqual(p.Hi, s.hi[:len(p.Hi)]) {
-		return false
-	}
-	if s.rv != nil {
-		// Retained point must still be within bounds (numerical drift guard;
-		// with unchanged constraints it is the previous optimal point).
-		for r := 0; r < s.rv.m; r++ {
-			b := s.rv.basis[r]
-			if s.rv.x[b] < s.rv.lo[b]-feasTol || s.rv.x[b] > s.rv.hi[b]+feasTol {
-				return false
-			}
-		}
-		return true
 	}
 	// Retained basis must be primal feasible. With unchanged constraints the
 	// rhs column is exactly the previous optimal basic solution, so this only
@@ -157,19 +131,10 @@ func (s *Solver) canWarmStart(p *Problem) bool {
 	return true
 }
 
-// warmSolve re-optimizes the retained state (tableau or revised) with p's
-// cost vector. Returns nil if the warm iteration did not reach Optimal, in
-// which case the caller falls back to the cold path.
+// warmSolve re-optimizes the retained tableau with p's cost vector. Returns
+// nil if the warm iteration did not reach Optimal, in which case the caller
+// falls back to the cold path.
 func (s *Solver) warmSolve(p *Problem) *Result {
-	if s.rv != nil {
-		res := s.rv.resolve(p.C)
-		if res == nil {
-			s.lastOptimal = false
-			return nil
-		}
-		s.warm++
-		return res
-	}
 	t := s.t
 	// phase2Cost's slack/artificial tail is zero by construction and never
 	// written, so only the original-variable prefix needs refreshing.
@@ -186,26 +151,12 @@ func (s *Solver) warmSolve(p *Problem) *Result {
 	return res
 }
 
-// coldSolve runs the full two-phase method on fresh state — revised or
-// dense tableau by the same dispatch as the package-level Solve — and
-// snapshots the constraints for future warm starts.
+// coldSolve runs the full two-phase method on a fresh tableau, as the
+// package-level Solve does, and snapshots the constraints for future warm
+// starts.
 func (s *Solver) coldSolve(p *Problem) *Result {
-	var res *Result
-	if methodFor(p, Auto) == Revised {
-		rv, err := newRevised(p)
-		if err != nil {
-			// Basis factorization breakdown; surface as an iteration-limited
-			// solve rather than panicking (cannot happen for well-posed input:
-			// the initial basis is triangular by construction).
-			return &Result{Status: IterationLimit}
-		}
-		res = rv.run()
-		s.rv, s.t = rv, nil
-	} else {
-		t := newTableau(p)
-		res = t.run()
-		s.t, s.rv = t, nil
-	}
+	s.t = newTableau(p)
+	res := s.t.run()
 	s.nOrig = len(p.C)
 	s.snapshot(p)
 	s.lastOptimal = res.Status == Optimal
@@ -218,10 +169,6 @@ func (s *Solver) snapshot(p *Problem) {
 	s.aub = mat.CloneSparseInto(s.aub, p.Aub)
 	s.beq = append(s.beq[:0], p.Beq...)
 	s.bub = append(s.bub[:0], p.Bub...)
-	s.lo = append(s.lo[:0], p.Lo...)
-	s.hi = append(s.hi[:0], p.Hi...)
-	s.hadLo = p.Lo != nil
-	s.hadHi = p.Hi != nil
 }
 
 func vecEqual(a, b []float64) bool {

@@ -320,68 +320,6 @@ func TestBlockedLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUSolveTVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 2, 5, 17, 40} {
-		a := randomWellConditioned(rng, n)
-		f, err := FactorLU(a)
-		if err != nil {
-			t.Fatalf("n=%d: FactorLU: %v", n, err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x := make([]float64, n)
-		if err := f.SolveTVecInto(x, b); err != nil {
-			t.Fatalf("n=%d: SolveTVecInto: %v", n, err)
-		}
-		// Check the defining property Aᵀx = b directly.
-		got, err := MulTVec(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range b {
-			if math.Abs(got[i]-b[i]) > 1e-9*(1+math.Abs(b[i])) {
-				t.Errorf("n=%d: (Aᵀx)[%d] = %g, want %g", n, i, got[i], b[i])
-			}
-		}
-		// And against the explicit transpose factorization.
-		ref, err := SolveVec(a.T(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if math.Abs(x[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
-				t.Errorf("n=%d: x[%d] = %g, transpose-factor reference %g", n, i, x[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestLUSolveTVecAliased(t *testing.T) {
-	// dst may alias b: the scatter goes through internal scratch.
-	a := MustNew(2, 2, []float64{0, 2, 3, 1})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{9, 8}
-	want := make([]float64, 2)
-	if err := f.SolveTVecInto(want, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SolveTVecInto(b, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range b {
-		//lint:ignore floateq aliased and unaliased solves run identical arithmetic
-		if b[i] != want[i] {
-			t.Errorf("aliased solve[%d] = %g, want %g", i, b[i], want[i])
-		}
-	}
-}
-
 // FuzzBlockedCholesky drives the blocked factorization directly (below the
 // cholBlockMin dispatch) against the naive reference loop: identical factor
 // bit-for-bit on success, and the same failure column when the matrix is

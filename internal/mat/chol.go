@@ -327,25 +327,3 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) error {
 	}
 	return nil
 }
-
-// Solve solves A*X = B column by column.
-func (c *Cholesky) Solve(b *Dense) (*Dense, error) {
-	if b.rows != c.n {
-		return nil, fmt.Errorf("mat: cholesky solve rhs %dx%d, want %d rows: %w", b.rows, b.cols, c.n, ErrShape)
-	}
-	out := Zeros(c.n, b.cols)
-	col := make([]float64, c.n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		x, err := c.SolveVec(col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < c.n; i++ {
-			out.data[i*out.cols+j] = x[i]
-		}
-	}
-	return out, nil
-}

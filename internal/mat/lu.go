@@ -11,10 +11,9 @@ import (
 //
 //lint:nocopy
 type LU struct {
-	lu   *Dense
-	piv  []int // piv[i] = row of A in position i after pivoting
-	n    int
-	tvec []float64 // grow-only scratch for SolveTVecInto's permutation scatter
+	lu  *Dense
+	piv []int // piv[i] = row of A in position i after pivoting
+	n   int
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -139,43 +138,6 @@ func (f *LU) SolveVecInto(dst, b []float64) error {
 			s += f.lu.data[i*n+j] * x[j]
 		}
 		x[i] = (x[i] - s) / f.lu.data[i*n+i]
-	}
-	return nil
-}
-
-// SolveTVecInto solves Aᵀ*x = b, writing x into dst. With P*A = L*U this is
-// Uᵀ*z = b (forward), Lᵀ*w = z (back), x = Pᵀ*w. dst MAY alias b: the final
-// scatter goes through internal scratch. The revised simplex uses this for
-// BTRAN (pricing duals against the basis factorization).
-func (f *LU) SolveTVecInto(dst, b []float64) error {
-	if len(b) != f.n {
-		return fmt.Errorf("mat: LU transpose solve rhs length %d, want %d: %w", len(b), f.n, ErrShape)
-	}
-	if len(dst) != f.n {
-		return dstLenErr("lu transpose solve", len(dst), f.n)
-	}
-	n := f.n
-	w := GrowVec(f.tvec, n)
-	f.tvec = w
-	// Forward with Uᵀ (lower triangular, diagonal from U).
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= f.lu.data[k*n+i] * w[k]
-		}
-		w[i] = s / f.lu.data[i*n+i]
-	}
-	// Back with Lᵀ (unit upper triangular).
-	for i := n - 1; i >= 0; i-- {
-		s := w[i]
-		for k := i + 1; k < n; k++ {
-			s -= f.lu.data[k*n+i] * w[k]
-		}
-		w[i] = s
-	}
-	// x = Pᵀ*w: entry i of w belongs to original row piv[i].
-	for i := 0; i < n; i++ {
-		dst[f.piv[i]] = w[i]
 	}
 	return nil
 }

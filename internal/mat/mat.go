@@ -105,16 +105,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice into m's backing storage — no copy.
 // The view stays valid until m is reshaped (ReuseDense and friends may
 // reallocate the backing array). Callers must treat the view as read-only
@@ -124,26 +114,6 @@ func (m *Dense) RowView(i int) []float64 {
 		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
 // T returns the transpose of m as a new matrix. For an allocation-free

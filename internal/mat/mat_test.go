@@ -510,17 +510,15 @@ func TestNorms(t *testing.T) {
 
 func TestRowColAccessors(t *testing.T) {
 	a := MustNew(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	r := a.Row(1)
-	r[0] = 99 // must be a copy
-	if a.At(1, 0) != 4 {
-		t.Fatal("Row returned a view, want copy")
+	r := a.RowView(1)
+	if len(r) != 3 || cap(r) != 3 || r[0] != 4 || r[2] != 6 {
+		t.Fatalf("RowView(1) = %v (cap %d)", r, cap(r))
 	}
-	c := a.Col(2)
-	if c[0] != 3 || c[1] != 6 {
-		t.Fatalf("Col = %v", c)
+	r[0] = 99 // a view: the write reaches a
+	if a.At(1, 0) != 99 {
+		t.Fatal("RowView returned a copy, want a view")
 	}
-	a.SetRow(0, []float64{7, 8, 9})
-	if a.At(0, 2) != 9 {
-		t.Fatal("SetRow did not write")
+	if a.At(0, 2) != 3 || a.At(1, 2) != 6 {
+		t.Fatalf("column 2 = [%v %v], want [3 6]", a.At(0, 2), a.At(1, 2))
 	}
 }

@@ -391,18 +391,105 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
-func TestInfeasibleX0Recovered(t *testing.T) {
-	// Feasible problem, infeasible X0: solver must recover via phase 1.
-	p := &Problem{
-		H:   mat.Identity(2),
-		Q:   []float64{0, 0},
-		Ain: sparse(1, 2, 1, 1),
-		Bin: []float64{1},
-		X0:  []float64{5, 5},
+// movingDemandProblem builds an MPC-shaped problem (mpcShapedFixture plus
+// one capacity row per step and IDC, like the MPC's latency caps) whose
+// conservation right-hand sides have moved, as under moving demand: the
+// zero move the shifted warm start offers violates conservation. It
+// returns the problem with that zero start and a feasible start.
+func movingDemandProblem(r *rand.Rand, c, nIDC, b2 int) (*Problem, []float64) {
+	h, aeq, ain := mpcShapedFixture(r, c, nIDC, b2)
+	p := mpcShapedProblem(r, h, aeq, ain, b2)
+	nu := c * nIDC
+	n := nu * b2
+	// The feasible start moves each allocation in the first step only, and
+	// by no more than it holds, so every cumulated allocation stays ≥ 0.
+	start := make([]float64, n)
+	for k := 0; k < nu; k++ {
+		start[k] = p.Bin[k] * (1.5*r.Float64() - 1)
 	}
-	res := solveOK(t, p)
-	if res.X[0]+res.X[1] > 1+1e-6 {
-		t.Fatalf("X = %v violates constraint", res.X)
+	in := mat.Zeros(ain.Rows()+nIDC*b2, n)
+	for i := 0; i < ain.Rows(); i++ {
+		copy(in.RowView(i), ain.RowView(i))
+	}
+	bin := make([]float64, in.Rows())
+	copy(bin, p.Bin)
+	for s := 0; s < b2; s++ {
+		for j := 0; j < nIDC; j++ {
+			row := ain.Rows() + s*nIDC + j
+			for rr := 0; rr <= s; rr++ {
+				for i := 0; i < c; i++ {
+					in.Set(row, rr*nu+i*nIDC+j, 1)
+				}
+			}
+			for i := 0; i < c; i++ {
+				bin[row] += start[i*nIDC+j]
+			}
+			bin[row] += 0.5
+		}
+	}
+	p.Ain, p.Bin = mat.SparseRowsFrom(in), bin
+	for s := 0; s < b2; s++ {
+		for i := 0; i < c; i++ {
+			for j := 0; j < nIDC; j++ {
+				p.Beq[s*c+i] += start[i*nIDC+j]
+			}
+		}
+	}
+	return p, start
+}
+
+// TestInfeasibleX0Recovered solves feasible problems from an infeasible X0,
+// so the solve starts from the phase-1 LP, and requires a feasible result
+// whose objective matches a solve started from a feasible point. The
+// MPC-shaped case at C12×N8 with β2 = 3 has 288 variables, and its phase-1
+// LP has 888.
+func TestInfeasibleX0Recovered(t *testing.T) {
+	mpc, start := movingDemandProblem(rand.New(rand.NewSource(24)), 12, 8, 3)
+	cases := []struct {
+		name     string
+		p        *Problem
+		feasible []float64
+		ph1Vars  int
+	}{
+		{"box", &Problem{
+			H:   mat.Identity(2),
+			Q:   []float64{0, 0},
+			Ain: sparse(1, 2, 1, 1),
+			Bin: []float64{1},
+			X0:  []float64{5, 5},
+		}, []float64{0, 0}, 5},
+		{"mpc-C12xN8", mpc, start, 888},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			if p.feasible(p.X0, featol) {
+				t.Fatal("X0 is feasible; the solve would skip phase 1")
+			}
+			ws := NewWorkspace()
+			res, err := SolveWith(p, ws)
+			if err != nil {
+				t.Fatalf("SolveWith: %v", err)
+			}
+			if got := len(ws.ph1.cost); got != tc.ph1Vars {
+				t.Fatalf("phase-1 LP has %d variables, want %d", got, tc.ph1Vars)
+			}
+			if !p.feasible(res.X, featol) {
+				t.Fatal("the result violates a constraint")
+			}
+			q := *p
+			q.X0 = tc.feasible
+			if !q.feasible(q.X0, featol) {
+				t.Fatal("the reference start is infeasible")
+			}
+			ref, err := SolveWith(&q, nil)
+			if err != nil {
+				t.Fatalf("SolveWith from a feasible start: %v", err)
+			}
+			if math.Abs(res.Obj-ref.Obj) > 1e-9*math.Abs(ref.Obj) {
+				t.Fatalf("objective %v from phase 1, %v from a feasible start", res.Obj, ref.Obj)
+			}
+		})
 	}
 }
 
@@ -455,13 +542,13 @@ func kktResidual(p *Problem, res *Result) float64 {
 	if p.Aeq != nil {
 		aeq := dense(p.Aeq)
 		for i := 0; i < aeq.Rows(); i++ {
-			rows = append(rows, aeq.Row(i))
+			rows = append(rows, aeq.RowView(i))
 		}
 	}
 	if len(res.Active) > 0 {
 		ain := dense(p.Ain)
 		for _, i := range res.Active {
-			rows = append(rows, ain.Row(i))
+			rows = append(rows, ain.RowView(i))
 		}
 	}
 	if len(rows) == 0 {

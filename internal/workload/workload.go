@@ -222,9 +222,6 @@ func NewPortals(gens ...Generator) (*Portals, error) {
 	return &Portals{gens: cp}, nil
 }
 
-// C returns the number of portals.
-func (p *Portals) C() int { return len(p.gens) }
-
 // Demands returns the demand vector at a step.
 func (p *Portals) Demands(step int) []float64 {
 	out := make([]float64, len(p.gens))
@@ -232,15 +229,6 @@ func (p *Portals) Demands(step int) []float64 {
 		out[i] = g.Rate(step)
 	}
 	return out
-}
-
-// Total returns the summed demand at a step.
-func (p *Portals) Total(step int) float64 {
-	var sum float64
-	for _, g := range p.gens {
-		sum += g.Rate(step)
-	}
-	return sum
 }
 
 // TableI returns the paper's Table I portal demands (req/s).
