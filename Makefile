@@ -30,7 +30,8 @@
 #                  repeats or drifts from the $(BENCH_REF) snapshot (results
 #                  must be bit-identical across PRs; only timings may move)
 #                  or if a pinned hot benchmark (MPCStep, warm LP, the
-#                  GridC8N6 closed loop, the solver scaling points)
+#                  GridC8N6 and VolatileShave closed loops, the model
+#                  build Discretize, the solver scaling points)
 #                  regresses in ns/op vs the snapshot after normalizing out
 #                  machine drift via the frozen Expm calibration bench
 #                  (its median over the repeats), or if
@@ -42,7 +43,7 @@
 #                  and not in CI.
 #   make fuzz-smoke — each internal/mat, internal/lp, internal/qp and
 #                  internal/ctrl fuzzer for 10 s past its seed corpus (about
-#                  110 s in all), with a 1 s -fuzzminimizetime
+#                  120 s in all), with a 1 s -fuzzminimizetime
 #                  (FUZZ_MINIMIZE): at the default 60 s a 10 s run spends
 #                  its time minimizing its first new input instead of
 #                  fuzzing. A crasher is minimized within the same budget
@@ -52,7 +53,9 @@
 #                  simplex tableau and of the QP's once-per-solve prune
 #                  against their reference loops, of the MPC's Hessian and
 #                  workspace carry across price-only model swaps against the
-#                  uncached MPC, and the LP input gate.
+#                  uncached MPC, of the model's one-column-per-IDC
+#                  discretization against the full Van Loan block, and the
+#                  LP input gate.
 #                  `go test` alone runs only the seeds.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
@@ -61,12 +64,12 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR24.json
-BENCH_REF ?= BENCH_PR24.json
+BENCH_JSON ?= BENCH_PR25.json
+BENCH_REF ?= BENCH_PR25.json
 MAT_FUZZ = FuzzMulInto FuzzBlockedMulInto FuzzBlockedCholesky FuzzCholeskyFactorFrom FuzzBlockedLU FuzzDenseKernelsBitIdentical
 LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
 QP_FUZZ = FuzzSolveMatchesRePruneReference
-CTRL_FUZZ = FuzzPriceSwapMatchesUncached
+CTRL_FUZZ = FuzzPriceSwapMatchesUncached FuzzModelMatchesFullBlock
 FUZZ_MINIMIZE = 1s
 
 .PHONY: check fmt vet lint build test race bench-module leaktest fuzz-smoke bench bench-smoke

@@ -402,8 +402,11 @@ func BenchmarkQPActiveSet(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscretize measures the Van Loan ZOH discretization of the
-// paper's (N+1)-state model.
+// BenchmarkDiscretize measures one whole NewFoldedModel build at paper
+// scale (C5×N3, Ts 30 s), the model rebuild every price change runs: the
+// A, B and F fill, the Van Loan ZOH discretization of eqs. (21)–(25) over
+// the (3N+1)-square block of one input column per IDC plus F, the copy of
+// each G column to its IDC's portal columns, and the finiteness check.
 func BenchmarkDiscretize(b *testing.B) {
 	top := idc.PaperTopology()
 	for i := 0; i < b.N; i++ {

@@ -23,6 +23,7 @@ BenchmarkSimplexScaling/C100xN20-4 	    100	  20000000 ns/op	    2048 B/op	     
 BenchmarkFig4-4           	      10	 104948436 ns/op	 4.186e+07 checksum	      12 figs
 BenchmarkGridC8N6-4       	      20	  60000000 ns/op	      1795 MW-sum
 BenchmarkVolatileShave-4  	      10	 130000000 ns/op	      2705 MW-sum
+BenchmarkDiscretize-4     	   30000	     35000 ns/op	   17500 B/op	      57 allocs/op
 PASS
 ok  	repro	2.459s
 `
@@ -47,8 +48,8 @@ func TestParseAndEmit(t *testing.T) {
 	if sum.Goos != "linux" || sum.Pkg != "repro" {
 		t.Errorf("header fields = %q/%q, want linux/repro", sum.Goos, sum.Pkg)
 	}
-	if len(sum.Benchmarks) != 10 {
-		t.Fatalf("parsed %d benchmarks, want 10", len(sum.Benchmarks))
+	if len(sum.Benchmarks) != 11 {
+		t.Fatalf("parsed %d benchmarks, want 11", len(sum.Benchmarks))
 	}
 	mpc := sum.Benchmarks[0]
 	if mpc.Name != "MPCStep" || mpc.Iterations != 13701 {
@@ -341,6 +342,7 @@ BenchmarkSimplexScaling/C50xN20-8 	     200	   5000000 ns/op
 BenchmarkSimplexScaling/C100xN20-8 	    100	  20000000 ns/op
 BenchmarkGridC8N6-8 	      20	  60000000 ns/op
 BenchmarkVolatileShave-8 	      10	 130000000 ns/op
+BenchmarkDiscretize-8 	   30000	     35000 ns/op
 PASS
 ok  	repro	2.459s
 `

@@ -90,3 +90,32 @@ func TestMPCStepAllocTrend(t *testing.T) {
 		Trend: alloctest.FlatZero(),
 	}})
 }
+
+// TestNewFoldedModelAllocTrend pins the model build's allocations as flat
+// in the portal count: the Van Loan block holds one input column per IDC,
+// so only the two (N+1)×NC copies of B and G grow with C, each in one
+// allocation. A block over every portal column allocates once per column
+// in the Padé solve and fails here.
+func TestNewFoldedModelAllocTrend(t *testing.T) {
+	const n = 10
+	prices := make([]float64, n)
+	for j := range prices {
+		prices[j] = 20 + float64(j*7%40)
+	}
+	alloctest.Run(t, []alloctest.AllocTest{{
+		Name: "NewFoldedModel",
+		Ns:   []int{5, 20, 50},
+		Setup: func(t *testing.T, c int) func() {
+			top, err := idc.SyntheticTopology(c, n, 20000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if _, err := NewFoldedModel(top, prices, 300); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		Trend: alloctest.Flat(0),
+	}})
+}

@@ -67,6 +67,18 @@ type Model struct {
 //
 //lint:ignore testonly the plain plant the ctrl tests drive; TestFoldedModelMatchesPlantWithSleepLaw checks the folded model against it
 func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
+	return newModel(top, prices, ts, false)
+}
+
+// newModel builds and discretizes the plain model, or the folded one of
+// eq. (36), whose per-IDC power gain b1_j becomes b1_j + b0_j/µ_j.
+//
+// Every portal column of IDC j in B holds that gain at row 1+j and nothing
+// else, so the Van Loan block is built over one input column per IDC plus
+// F, (3N+1)-square instead of (N+1+NC+N)-square, and each resulting G
+// column is copied to its IDC's C portal columns. Φ, G and Γ are the full
+// block's bit for bit (DESIGN.md §3.1).
+func newModel(top *idc.Topology, prices []float64, ts float64, folded bool) (*Model, error) {
 	if top == nil {
 		return nil, fmt.Errorf("nil topology: %w", ErrBadModel)
 	}
@@ -76,27 +88,24 @@ func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
 	if ts <= 0 {
 		return nil, fmt.Errorf("sampling period %g: %w", ts, ErrBadModel)
 	}
-	n, c := top.N(), top.C()
+	n := top.N()
 	ns := n + 1
 
 	a := mat.Zeros(ns, ns)
 	for j := 0; j < n; j++ {
 		a.Set(0, 1+j, prices[j])
 	}
-	b := mat.Zeros(ns, top.NU())
-	f := mat.Zeros(ns, n)
+	// bf is [one B column per IDC | F].
+	bf := mat.Zeros(ns, 2*n)
 	for j := 0; j < n; j++ {
 		d := top.IDC(j)
-		for i := 0; i < c; i++ {
-			b.Set(1+j, top.Index(i, j), d.Power.B1)
+		gain := d.Power.B1
+		if folded {
+			gain += d.Power.B0 / d.ServiceRate
 		}
-		f.Set(1+j, j, d.Power.B0)
+		bf.Set(1+j, j, gain)
+		bf.Set(1+j, n+j, d.Power.B0)
 	}
-
-	// Discretize A with the concatenated input [B | F] in one Van Loan call.
-	bf := mat.Zeros(ns, top.NU()+n)
-	bf.SetBlock(0, 0, b)
-	bf.SetBlock(0, top.NU(), f)
 	phi, gAll, err := mat.Discretize(a, bf, ts)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: discretize: %w", err)
@@ -107,18 +116,35 @@ func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
 		top:    top,
 		prices: pr,
 		ts:     ts,
+		folded: folded,
 		A:      a,
-		B:      b,
-		F:      f,
+		B:      perPortal(top, bf),
+		F:      bf.Slice(0, ns, n, 2*n),
 		Phi:    phi,
-		G:      gAll.Slice(0, ns, 0, top.NU()),
-		Gamma:  gAll.Slice(0, ns, top.NU(), top.NU()+n),
+		G:      perPortal(top, gAll),
+		Gamma:  gAll.Slice(0, ns, n, 2*n),
 	}
 	if err := m.checkFinite(); err != nil {
 		return nil, err
 	}
 	m.bumpVersion()
 	return m, nil
+}
+
+// perPortal returns the (N+1)×NC input matrix whose column Index(i, j) is
+// column j of src, for every portal i.
+func perPortal(top *idc.Topology, src *mat.Dense) *mat.Dense {
+	n, c := top.N(), top.C()
+	out := mat.Zeros(src.Rows(), top.NU())
+	for r := 0; r < src.Rows(); r++ {
+		row := src.RowView(r)
+		for j := 0; j < n; j++ {
+			for i := 0; i < c; i++ {
+				out.Set(r, top.Index(i, j), row[j])
+			}
+		}
+	}
+	return out
 }
 
 // checkFinite returns ErrBadModel, naming the prices, when the discretized
@@ -252,58 +278,7 @@ func (m *Model) PowerRates(u []float64, servers []int) ([]float64, error) {
 // per-step sleep law keeps m on the latency boundary by construction, so
 // only m_j ≤ M_j binds).
 func NewFoldedModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
-	if top == nil {
-		return nil, fmt.Errorf("nil topology: %w", ErrBadModel)
-	}
-	if len(prices) != top.N() {
-		return nil, fmt.Errorf("%d prices for %d IDCs: %w", len(prices), top.N(), ErrBadModel)
-	}
-	if ts <= 0 {
-		return nil, fmt.Errorf("sampling period %g: %w", ts, ErrBadModel)
-	}
-	n, c := top.N(), top.C()
-	ns := n + 1
-
-	a := mat.Zeros(ns, ns)
-	for j := 0; j < n; j++ {
-		a.Set(0, 1+j, prices[j])
-	}
-	b := mat.Zeros(ns, top.NU())
-	f := mat.Zeros(ns, n)
-	for j := 0; j < n; j++ {
-		d := top.IDC(j)
-		eff := d.Power.B1 + d.Power.B0/d.ServiceRate
-		for i := 0; i < c; i++ {
-			b.Set(1+j, top.Index(i, j), eff)
-		}
-		f.Set(1+j, j, d.Power.B0)
-	}
-	bf := mat.Zeros(ns, top.NU()+n)
-	bf.SetBlock(0, 0, b)
-	bf.SetBlock(0, top.NU(), f)
-	phi, gAll, err := mat.Discretize(a, bf, ts)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: discretize: %w", err)
-	}
-	pr := make([]float64, len(prices))
-	copy(pr, prices)
-	m := &Model{
-		top:    top,
-		prices: pr,
-		ts:     ts,
-		folded: true,
-		A:      a,
-		B:      b,
-		F:      f,
-		Phi:    phi,
-		G:      gAll.Slice(0, ns, 0, top.NU()),
-		Gamma:  gAll.Slice(0, ns, top.NU(), top.NU()+n),
-	}
-	if err := m.checkFinite(); err != nil {
-		return nil, err
-	}
-	m.bumpVersion()
-	return m, nil
+	return newModel(top, prices, ts, true)
 }
 
 // Folded reports whether the sleep-control law is folded into the plant.

@@ -56,6 +56,12 @@ func (d IDC) Validate() error {
 	if !(d.BudgetWatts >= 0) || math.IsInf(d.BudgetWatts, 0) {
 		return fmt.Errorf("%s: budget %g: %w", d.Name, d.BudgetWatts, ErrBadTopology)
 	}
+	if !(d.Power.B0 >= 0) || math.IsInf(d.Power.B0, 0) {
+		return fmt.Errorf("%s: power B0 %g: %w", d.Name, d.Power.B0, ErrBadTopology)
+	}
+	if !(d.Power.B1 >= 0) || math.IsInf(d.Power.B1, 0) {
+		return fmt.Errorf("%s: power B1 %g: %w", d.Name, d.Power.B1, ErrBadTopology)
+	}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package idc
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -40,6 +41,45 @@ func TestIDCValidate(t *testing.T) {
 		if err := d.Validate(); !errors.Is(err, ErrBadTopology) {
 			t.Errorf("%s: err = %v, want ErrBadTopology", name, err)
 		}
+	}
+}
+
+// TestIDCValidatePowerModel pins the power model as part of a topology's
+// validation: a NaN, infinite or negative B0 or B1 is ErrBadTopology
+// naming the IDC and the field, from Validate and from NewTopology, rather
+// than a NaN model blamed on the prices or a silently negative draw.
+func TestIDCValidatePowerModel(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*power.ServerModel)
+	}{
+		{"B0", func(m *power.ServerModel) { m.B0 = math.NaN() }},
+		{"B0", func(m *power.ServerModel) { m.B0 = math.Inf(1) }},
+		{"B0", func(m *power.ServerModel) { m.B0 = math.Inf(-1) }},
+		{"B0", func(m *power.ServerModel) { m.B0 = -150 }},
+		{"B1", func(m *power.ServerModel) { m.B1 = math.NaN() }},
+		{"B1", func(m *power.ServerModel) { m.B1 = math.Inf(1) }},
+		{"B1", func(m *power.ServerModel) { m.B1 = math.Inf(-1) }},
+		{"B1", func(m *power.ServerModel) { m.B1 = -5 }},
+	} {
+		d := validIDC()
+		tc.mutate(&d.Power)
+		err := d.Validate()
+		if !errors.Is(err, ErrBadTopology) {
+			t.Errorf("%s %+v: err = %v, want ErrBadTopology", tc.field, d.Power, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, d.Name) || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s %+v: err %q does not name the IDC and the field", tc.field, d.Power, msg)
+		}
+		if _, err := NewTopology(2, []IDC{validIDC(), d}); !errors.Is(err, ErrBadTopology) {
+			t.Errorf("%s %+v: NewTopology err = %v, want ErrBadTopology", tc.field, d.Power, err)
+		}
+	}
+	d := validIDC()
+	d.Power = power.ServerModel{}
+	if err := d.Validate(); err != nil {
+		t.Errorf("zero power model rejected: %v", err)
 	}
 }
 

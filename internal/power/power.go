@@ -8,6 +8,7 @@ package power
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrBadModel is returned for non-physical model parameters.
@@ -24,15 +25,20 @@ type ServerModel struct {
 
 // NewServerModel derives the linear model from an idle-power / peak-power
 // pair, the form the paper's experiments use (150 W idle, 285 W at the peak
-// processing rate µ).
+// processing rate µ). Every argument, and the derived B1, must be finite.
 func NewServerModel(idleWatts, peakWatts, peakRate float64) (ServerModel, error) {
-	if idleWatts < 0 || peakWatts < idleWatts {
+	if !(idleWatts >= 0) || !(peakWatts >= idleWatts) || math.IsInf(peakWatts, 0) {
 		return ServerModel{}, fmt.Errorf("idle %g, peak %g: %w", idleWatts, peakWatts, ErrBadModel)
 	}
-	if peakRate <= 0 {
+	if !(peakRate > 0) || math.IsInf(peakRate, 0) {
 		return ServerModel{}, fmt.Errorf("peak rate %g: %w", peakRate, ErrBadModel)
 	}
-	return ServerModel{B0: idleWatts, B1: (peakWatts - idleWatts) / peakRate}, nil
+	b1 := (peakWatts - idleWatts) / peakRate
+	if math.IsInf(b1, 0) {
+		return ServerModel{}, fmt.Errorf("idle %g, peak %g at rate %g: marginal power overflows: %w",
+			idleWatts, peakWatts, peakRate, ErrBadModel)
+	}
+	return ServerModel{B0: idleWatts, B1: b1}, nil
 }
 
 // Power returns the draw of one server processing workload rate lambda.

@@ -84,6 +84,25 @@ func TestNewServerModelErrors(t *testing.T) {
 	if _, err := NewServerModel(150, 285, 0); !errors.Is(err, ErrBadModel) {
 		t.Fatalf("zero rate: %v", err)
 	}
+	// Every comparison with NaN is false, and finite arguments can still
+	// overflow B1: none of these may yield a model.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name             string
+		idle, peak, rate float64
+	}{
+		{"NaN idle", nan, 285, 2},
+		{"NaN peak", 150, nan, 2},
+		{"NaN rate", 150, 285, nan},
+		{"+Inf peak", 150, inf, 2},
+		{"+Inf idle and peak", inf, inf, 2},
+		{"+Inf rate", 150, 285, inf},
+		{"B1 overflows", 0, 1e308, 1e-308},
+	} {
+		if m, err := NewServerModel(tc.idle, tc.peak, tc.rate); !errors.Is(err, ErrBadModel) {
+			t.Errorf("%s: model %+v, err = %v, want ErrBadModel", tc.name, m, err)
+		}
+	}
 }
 
 func TestFleetPowerMatchesPaperNumbers(t *testing.T) {
