@@ -45,7 +45,7 @@ func (c *Cholesky) Factor(a *Dense) error { return c.FactorFrom(a, nil, 0, nil) 
 // columns of each repeated row; those are copied. An inserted row's first
 // p columns come from forward substitution against the kept rows, which is
 // the column loop's own chain for those entries, and every column from p on
-// is computed by Factor's loop (unblocked or blocked) started at column p.
+// is computed by Factor's loop started at column p.
 // The result is Factor(a) bit for bit, and a non-positive-definite a fails
 // at the same column with the same error.
 //
@@ -100,10 +100,6 @@ func (c *Cholesky) FactorFrom(a *Dense, src *Cholesky, p int, from []int) error 
 	// factored; the strict upper triangle must be zero.
 	for i := 0; i < n; i++ {
 		clear(ld[i*n+i+1 : (i+1)*n])
-	}
-	if n >= cholBlockMin {
-		// Bit-identical cache-tiled path for large systems (blocked.go).
-		return c.factorBlocked(a, l, n, p)
 	}
 	ad := a.data
 	for j := p; j < n; j++ {
@@ -226,6 +222,11 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 	return y, nil
 }
 
+// triSolveSaxpyMin is the size from which SolveVecInto's backward sweep
+// runs in the row-streaming saxpy order. Paper-scale systems (≤ ~45) stay
+// below it; the C8×N6 grid's 144-variable QP is above it.
+const triSolveSaxpyMin = 128
+
 // SolveVecInto solves A*x = b, writing x into dst. dst must have length n.
 // dst MAY alias b: the forward sweep reads b[i] before writing dst[i].
 //
@@ -234,10 +235,13 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 // row-major factor with stride n, which at working-set sizes in the
 // thousands misses cache and TLB on every element and dominated the warm
 // MPC step. The saxpy form reads the factor row by row at full memory
-// bandwidth. This reorders each element's accumulation chain, so — unlike
-// the blocked factorizations — results above the threshold are NOT
-// bit-identical to the naive sweep (see the blocked.go contract carve-out);
-// every checksummed paper-scale artifact stays far below it.
+// bandwidth. This reorders each element's accumulation chain, so results
+// above the threshold are NOT bit-identical to the dot-form sweep
+// (DESIGN.md §3.10): a back solve in the dot order must either walk the
+// factor by column or keep a transposed copy of every cached factor. Every
+// checksummed paper-scale artifact stays far below the threshold; the C8×N6
+// grid checksums (BenchmarkGridC8N6, TestMPCGridBitsUnchanged) sit above
+// it and record the saxpy order's bits.
 func (c *Cholesky) SolveVecInto(dst, b []float64) error {
 	if len(b) != c.n {
 		return fmt.Errorf("mat: cholesky solve rhs length %d, want %d: %w", len(b), c.n, ErrShape)

@@ -72,11 +72,6 @@ func MulInto(dst, a, b *Dense) (*Dense, error) {
 		return nil, shapeErr("mul", a, b)
 	}
 	dst = ReuseDense(dst, a.rows, b.cols)
-	if a.rows*a.cols*b.cols >= blockedMulMinFlops {
-		// Bit-identical cache-tiled path for large products (blocked.go).
-		blockedMulInto(dst, a, b)
-		return dst, nil
-	}
 	for i := 0; i < a.rows; i++ {
 		arow := a.data[i*a.cols : (i+1)*a.cols]
 		orow := dst.data[i*dst.cols : (i+1)*dst.cols]

@@ -312,8 +312,8 @@ func TestMatOpsAllocFree(t *testing.T) {
 	if err := lu.Factor(a); err == nil {
 		// fine; singularity is astronomically unlikely with this seed
 	}
-	// A 144-variable SPD system, the grid-c8n6 QP's size: the blocked
-	// Cholesky and the row-streaming back sweep.
+	// A 144-variable SPD system, the grid-c8n6 QP's size: the row-streaming
+	// back sweep.
 	const ns = 144
 	spd := randDense(rng, ns, ns)
 	for i := 0; i < ns; i++ {

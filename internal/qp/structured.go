@@ -94,8 +94,7 @@ func NewStructuredLSForm(m *mat.Dense, wq, wr []float64) (*LSForm, error) {
 		diag[j] = 2 * wr[j]
 		dinv[j] = 1 / diag[j]
 	}
-	// K = ½I + (SM·D⁻¹)·SMᵀ. The m×n·n×m product routes through MulInto and
-	// hence the blocked kernel at scale; smd and smt are build-time only.
+	// K = ½I + (SM·D⁻¹)·SMᵀ, one MulInto; smd and smt are build-time only.
 	smd := sm.Clone()
 	for i := 0; i < rows; i++ {
 		row := smd.RowView(i)
