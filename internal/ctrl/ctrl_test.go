@@ -690,10 +690,49 @@ func TestMPCTrajectoryShorterThanHorizonHeld(t *testing.T) {
 	}
 }
 
+// predictedStates returns X(k+s|k) for s = 1…β1 under the moves m's last
+// Step planned (m.prevZ), from m's condensed cache; in is that Step's
+// input, with in.PrevU not yet overwritten. Each state sums the free
+// response (Φ^s·X + Ξ_s·U(k−1)) + Ω_s·ΓV, then adds the block of Θz, in
+// that order.
+func predictedStates(t *testing.T, m *MPC, in StepInput) [][]float64 {
+	t.Helper()
+	cd, model := m.cache, in.Model
+	if cd == nil || cd.model != model {
+		t.Fatal("predictedStates: the MPC holds no cache for the step's model")
+	}
+	ns := model.StateDim()
+	v := make([]float64, model.Topology().N())
+	model.DisturbanceVecInto(v, in.Servers)
+	mul := func(a *mat.Dense, x []float64) []float64 {
+		y, err := mat.MulVec(a, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	gamV := mul(model.Gamma, v)
+	thz := mul(cd.theta, m.prevZ)
+	preds := make([][]float64, m.cfg.PredHorizon)
+	for s := 1; s <= len(preds); s++ {
+		free := mul(cd.phiPow[s], in.State)
+		xiU := mul(cd.cumG[s-1], in.PrevU)
+		omega := mul(cd.cumPhi[s-1], gamV)
+		x := make([]float64, ns)
+		for i := range x {
+			x[i] = free[i] + xiU[i] + omega[i]
+			x[i] += thz[(s-1)*ns+i]
+		}
+		preds[s-1] = x
+	}
+	return preds
+}
+
 // TestPredictedStatesMatchPlantPropagation validates the condensed
-// prediction matrices: X(k+s|k) from the MPC must equal propagating the
-// plant step by step with the planned input sequence. This pins down the
-// Θ/Ξ/Ω construction against an independent computation.
+// prediction matrices: X(k+s|k) from the condensed cache under the moves
+// the MPC planned must equal propagating the plant step by step with the
+// planned inputs. This pins down the Θ/Ξ/Ω construction against an
+// independent computation.
 func TestPredictedStatesMatchPlantPropagation(t *testing.T) {
 	model := newTestModel(t, testPrices7H, 30)
 	top := model.Topology()
@@ -711,38 +750,39 @@ func TestPredictedStatesMatchPlantPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMPC: %v", err)
 	}
-	state := []float64{1e9, 2e8, 3e8, 4e8} // arbitrary nonzero start
-	out, err := mpc.Step(StepInput{
+	in := StepInput{
 		Model:    model,
-		State:    state,
+		State:    []float64{1e9, 2e8, 3e8, 4e8}, // arbitrary nonzero start
 		PrevU:    u6,
 		Servers:  servers,
 		Demands:  workload.TableI(),
 		RefPower: refPower,
-	})
+	}
+	out, err := mpc.Step(in)
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	// Reconstruct the planned input sequence: U(k) from the first move; the
-	// MPC holds ΔU beyond the control horizon at zero, so U stays at the
-	// cumulative value. We only know ΔU_0 from the output; re-derive the
-	// rest by solving again with the same inputs is circular — instead
-	// verify s=1 exactly and the remaining steps for consistency with the
-	// dynamics under *some* constant input (the prediction uses the planned
-	// ΔU_1, which we don't see). So: check s=1 against model.Step.
-	x1, err := model.Step(state, out.U, servers)
-	if err != nil {
-		t.Fatalf("model.Step: %v", err)
+	preds := predictedStates(t, mpc, in)
+	if len(preds) != 5 {
+		t.Fatalf("predicted %d steps, want β1=5", len(preds))
 	}
-	got := out.PredictedStates[0]
-	for i := range x1 {
-		scale := math.Abs(x1[i]) + 1
-		if math.Abs(got[i]-x1[i])/scale > 1e-9 {
-			t.Fatalf("predicted X(k+1)[%d] = %g, plant gives %g", i, got[i], x1[i])
+	// The plant runs U(k) = out.U, then U(k+s) = U(k+s−1) + ΔU(k+s|k)
+	// within the control horizon and the last U after it.
+	nu := model.InputDim()
+	x, u := in.State, append([]float64(nil), out.U...)
+	for s, got := range preds {
+		if s > 0 && s < mpc.cfg.CtrlHorizon {
+			mat.AddVecInto(u, u, mpc.prevZ[s*nu:(s+1)*nu])
 		}
-	}
-	if len(out.PredictedStates) != 5 {
-		t.Fatalf("predicted %d steps, want β1=5", len(out.PredictedStates))
+		if x, err = model.Step(x, u, servers); err != nil {
+			t.Fatalf("model.Step: %v", err)
+		}
+		for i := range x {
+			scale := math.Abs(x[i]) + 1
+			if math.Abs(got[i]-x[i])/scale > 1e-9 {
+				t.Fatalf("predicted X(k+%d)[%d] = %g, plant gives %g", s+1, i, got[i], x[i])
+			}
+		}
 	}
 }
 

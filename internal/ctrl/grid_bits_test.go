@@ -91,14 +91,15 @@ func TestMPCGridBitsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		out, err := mpc.Step(StepInput{
+		in := StepInput{
 			Model:    model,
 			State:    state,
 			PrevU:    prevU,
 			Servers:  servers,
 			Demands:  demandAt(k),
 			RefPower: ref.PowerWatts,
-		})
+		}
+		out, err := mpc.Step(in)
 		if err != nil {
 			t.Fatalf("step %d: %v", k, err)
 		}
@@ -107,9 +108,10 @@ func TestMPCGridBitsUnchanged(t *testing.T) {
 		for _, v := range out.U {
 			put(math.Float64bits(v))
 		}
-		// Outputs alias the controller's scratch: copy what the next step reads.
+		// The loop follows the MPC's own prediction X(k+1|k). Outputs alias
+		// the controller's scratch: copy what the next step reads.
+		state = predictedStates(t, mpc, in)[0]
 		prevU = append([]float64(nil), out.U...)
-		state = append([]float64(nil), out.PredictedStates[0]...)
 	}
 	if got := sum.Sum64(); got != gridBits {
 		t.Errorf("C8×N6 hash %#x (%d QP iterations), want %#x: a pivot, a prune decision or a result bit changed",

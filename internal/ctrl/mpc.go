@@ -144,9 +144,7 @@ type stepScratch struct {
 	beq, bin         []float64
 	zero, shifted    []float64
 	feasBuf          []float64
-	deltaU, u, thz   []float64
-	predBuf          []float64
-	preds            [][]float64
+	deltaU, u        []float64
 	ls               qp.LSProblem
 	out              StepOutput
 }
@@ -186,9 +184,6 @@ type StepInput struct {
 	// When shorter than β1 the last entry is held; when nil RefPower is
 	// used for every step.
 	RefPowerTraj [][]float64
-	// RefCostRate is the target Ċ̄ (Σ_j Pr_j·P_ref_j); used only when
-	// CostWeight > 0. Zero means "derive from RefPower and prices".
-	RefCostRate float64
 }
 
 // StepOutput is the controller's move.
@@ -201,8 +196,6 @@ type StepOutput struct {
 	DeltaU []float64
 	// U is the new allocation U(k) = U(k−1) + ΔU.
 	U []float64
-	// PredictedStates holds X(k+s|k) for s = 1…β1 under the planned moves.
-	PredictedStates [][]float64
 	// QPIterations reports active-set iterations (diagnostics).
 	QPIterations int
 }
@@ -281,13 +274,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	// Free response and reference → stacked residual d = ref − free(X, U, V).
 	ts := model.Ts()
 	prices := model.prices // read-only; Prices() would copy per step
-	refCostRate := in.RefCostRate
-	//lint:ignore floateq documented sentinel: exactly-zero RefCostRate means "derive from prices"
-	if refCostRate == 0 && m.cfg.CostWeight > 0 {
-		for j := range prices {
-			refCostRate += prices[j] * in.RefPower[j]
-		}
-	}
 	// refAt returns the power reference for prediction step s (1-based):
 	// the trajectory entry when supplied, else the constant RefPower.
 	refAt := func(s int) []float64 {
@@ -310,7 +296,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	sc.xiU = mat.GrowVec(sc.xiU, ns)
 	sc.omega = mat.GrowVec(sc.omega, ns)
 	free, xiU, omega := sc.free, sc.xiU, sc.omega
-	sc.predBuf = mat.GrowVec(sc.predBuf, ns*b1)
 	for s := 1; s <= b1; s++ {
 		if err := mat.MulVecInto(free, cd.phiPow[s], in.State); err != nil {
 			return nil, err
@@ -321,18 +306,11 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		if err := mat.MulVecInto(omega, cd.cumPhi[s-1], gamV); err != nil {
 			return nil, err
 		}
-		// Free-response base of the predicted trajectory, finished with +Θz
-		// after the solve. The sum order matches the pre-fusion second pass
-		// ((free+ξU)+ω, then +Θz), so the fusion is bit-identical — it only
-		// removes the three duplicate mat-vec products per horizon step.
-		base := sc.predBuf[(s-1)*ns : s*ns]
-		for i := 0; i < ns; i++ {
-			base[i] = free[i] + xiU[i] + omega[i]
-		}
 		stepRef := refAt(s)
-		//lint:ignore floateq documented sentinel: exactly-zero RefCostRate means "derive from prices"
-		if m.cfg.CostWeight > 0 && in.RefCostRate == 0 && len(in.RefPowerTraj) > 0 {
-			refCostRate = 0
+		// The C̄ reference ramps at Σ_j Pr_j·P_ref_j; only CostWeight > 0
+		// weighs that row.
+		var refCostRate float64
+		if m.cfg.CostWeight > 0 {
 			for j := range prices {
 				refCostRate += prices[j] * stepRef[j]
 			}
@@ -367,29 +345,9 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 
 	m.prevZ = append(m.prevZ[:0], res.X...)
 
-	// Predicted trajectory under the planned z: the free-response base is
-	// already in predBuf (stored by the residual pass above), so only Θz is
-	// added here. in.PrevU may alias the previous output's U buffer (sc.u);
-	// it is no longer read after the residual pass, so the write to sc.u
-	// below stays safe.
-	sc.thz = mat.GrowVec(sc.thz, ns*b1)
-	thz := sc.thz
-	if err := mat.MulVecInto(thz, cd.theta, res.X); err != nil {
-		return nil, err
-	}
-	if len(sc.preds) != b1 {
-		//lint:ignore hotalloc grow-only scratch: allocates once, then reused every step
-		sc.preds = make([][]float64, b1)
-	}
-	preds := sc.preds
-	for s := 1; s <= b1; s++ {
-		row := sc.predBuf[(s-1)*ns : s*ns]
-		for i := 0; i < ns; i++ {
-			row[i] += thz[(s-1)*ns+i]
-		}
-		preds[s-1] = row
-	}
-
+	// in.PrevU may alias the previous output's U buffer (sc.u); it is no
+	// longer read after the residual pass, so the write to sc.u below stays
+	// safe.
 	sc.deltaU = mat.GrowVec(sc.deltaU, nu)
 	deltaU := sc.deltaU
 	copy(deltaU, res.X[:nu])
@@ -400,10 +358,9 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	clampNonnegative(u, 1e-7*(1+mat.NormInfVec(u)))
 
 	sc.out = StepOutput{
-		DeltaU:          deltaU,
-		U:               u,
-		PredictedStates: preds,
-		QPIterations:    res.Iterations,
+		DeltaU:       deltaU,
+		U:            u,
+		QPIterations: res.Iterations,
 	}
 	return &sc.out, nil
 }

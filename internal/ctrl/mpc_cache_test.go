@@ -101,14 +101,6 @@ func TestCondensedCacheBitIdentical(t *testing.T) {
 				t.Fatalf("step %d: U[%d] cached %v != uncached %v", k, i, outC.U[i], outU.U[i])
 			}
 		}
-		for s := range outC.PredictedStates {
-			for i := range outC.PredictedStates[s] {
-				if outC.PredictedStates[s][i] != outU.PredictedStates[s][i] {
-					t.Fatalf("step %d: PredictedStates[%d][%d] cached %v != uncached %v",
-						k, s, i, outC.PredictedStates[s][i], outU.PredictedStates[s][i])
-				}
-			}
-		}
 		// Advance the shared closed loop with the (identical) move.
 		// outC.U is scratch-backed and overwritten by cached's next Step,
 		// so copy it into the test-owned buffer.
@@ -128,20 +120,13 @@ func TestCondensedCacheBitIdentical(t *testing.T) {
 }
 
 // sameStepBits reports the first output of a that differs from b's bits,
-// or "" when DeltaU, U and PredictedStates all match bit for bit.
+// or "" when DeltaU and U both match bit for bit.
 func sameStepBits(a, b *StepOutput) string {
 	switch {
 	case !mat.SameBits(a.DeltaU, b.DeltaU):
 		return "DeltaU"
 	case !mat.SameBits(a.U, b.U):
 		return "U"
-	case len(a.PredictedStates) != len(b.PredictedStates):
-		return "PredictedStates"
-	}
-	for s := range a.PredictedStates {
-		if !mat.SameBits(a.PredictedStates[s], b.PredictedStates[s]) {
-			return "PredictedStates"
-		}
 	}
 	return ""
 }
@@ -388,7 +373,9 @@ func FuzzPriceSwapMatchesUncached(f *testing.F) {
 				t.Fatalf("step %d at prices %v: cached %s differs from uncached", k, prices, what)
 			}
 			u = append(u[:0], outC.U...)
-			state = append(state[:0], outC.PredictedStates[0]...)
+			if state, err = model.Step(state, u, servers); err != nil {
+				t.Fatal(err)
+			}
 			if !finite(state) {
 				clear(state)
 			}
