@@ -127,9 +127,12 @@ func TestCostWeightTrackingMode(t *testing.T) {
 }
 
 // costWeightBits is the FNV-64a hash of TestCostWeightTrackingBitsUnchanged,
-// recorded on amd64 at commit 91a26e4, before the QP's dense-KKT fallback
-// filled its KKT matrix from compressed constraint rows.
-const costWeightBits = 0x81bb4b69dd263940
+// recorded on amd64 when the folded plant stopped counting the sleep law's
+// idle power twice (ctrl.Model.Step), which moves the C̄ row of the state
+// this loop tracks. The hash it replaced, 0x81bb4b69dd263940, had held
+// since before the QP's dense-KKT fallback filled its KKT matrix from
+// compressed constraint rows.
+const costWeightBits = 0x556fabfc9dfa0a56
 
 // TestCostWeightTrackingBitsUnchanged pins the CostWeight-only loop of
 // TestCostWeightTrackingMode, the one closed loop that reaches the QP's

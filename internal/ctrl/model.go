@@ -209,11 +209,14 @@ func (m *Model) StateDim() int { return m.top.N() + 1 }
 // InputDim returns N·C.
 func (m *Model) InputDim() int { return m.top.NU() }
 
-// Step propagates the discrete dynamics one sampling period:
+// Step propagates the plant one sampling period with the active-server
+// counts m:
 //
 //	X(k) = Φ·X(k−1) + G·U(k−1) + Γ·V(k−1)
 //
-// with V the active-server counts.
+// V is m for the plain model. A folded model's G already carries each
+// IDC's idle power for λ_j/µ_j servers, so its V is m_j − λ_j/µ_j; either
+// way E_j integrates the plant's b1_j·λ_j + b0_j·m_j.
 func (m *Model) Step(x, u []float64, servers []int) ([]float64, error) {
 	if len(x) != m.StateDim() {
 		return nil, fmt.Errorf("state length %d, want %d: %w", len(x), m.StateDim(), ErrBadModel)
@@ -235,6 +238,13 @@ func (m *Model) Step(x, u []float64, servers []int) ([]float64, error) {
 	v := make([]float64, len(servers))
 	for j, s := range servers {
 		v[j] = float64(s)
+		if m.folded {
+			var lambda float64
+			for i := 0; i < m.top.C(); i++ {
+				lambda += u[m.top.Index(i, j)]
+			}
+			v[j] -= lambda / m.top.IDC(j).ServiceRate
+		}
 	}
 	gv, err := mat.MulVec(m.Gamma, v)
 	if err != nil {
