@@ -2,8 +2,8 @@
 #
 #   make check   — the tier-1 gate plus gofmt, vet, idclint, the race
 #                  detector and the bench module; run this before every push.
-#                  The race pass matters: sim.Run and
-#                  experiments.RunAllContext spawn goroutines. The non-race
+#                  The race pass matters: experiments.RunAllContext and
+#                  feed.Buffer spawn goroutines. The non-race
 #                  test pass matters too: the allocation-regression tests
 #                  (testing.AllocsPerRun) skip themselves under -race.
 #   make fmt     — fails if gofmt would change any tracked .go file. The lint
@@ -65,8 +65,8 @@
 #                  the local perf-ratio snapshot) skips itself there.
 
 GO ?= go
-BENCH_JSON ?= BENCH_PR26.json
-BENCH_REF ?= BENCH_PR26.json
+BENCH_JSON ?= BENCH_PR27.json
+BENCH_REF ?= BENCH_PR27.json
 MAT_FUZZ = FuzzMulInto FuzzCholeskyFactorFrom FuzzDenseKernelsBitIdentical
 LP_FUZZ = FuzzLPValidate FuzzTableauMatchesDenseReference
 QP_FUZZ = FuzzSolveMatchesRePruneReference

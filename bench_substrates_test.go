@@ -169,10 +169,6 @@ func mpcScalingRigFor(b *testing.B, rigs map[string]*mpcScalingRig, c, n int, fo
 	if err != nil {
 		b.Fatal(err)
 	}
-	servers := make([]int, n)
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
 	mpc, err := ctrl.NewMPC(ctrl.MPCConfig{
 		PowerWeight: 1, SmoothWeight: 4,
 		PredHorizon: 6, CtrlHorizon: 3,
@@ -187,7 +183,6 @@ func mpcScalingRigFor(b *testing.B, rigs map[string]*mpcScalingRig, c, n int, fo
 			Model:    model,
 			State:    make([]float64, model.StateDim()),
 			PrevU:    ref.Allocation.Vector(),
-			Servers:  servers,
 			Demands:  demands,
 			RefPower: ref.PowerWatts,
 		},

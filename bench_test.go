@@ -222,10 +222,6 @@ func BenchmarkMPCStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := ref.Allocation.Vector()
-	servers := make([]int, top.N())
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
 	target, err := repro.OptimalAllocation(top, []float64{49.90, 29.47, 77.97}, repro.TableIDemands())
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +247,6 @@ func BenchmarkMPCStep(b *testing.B) {
 		Model:    model,
 		State:    make([]float64, model.StateDim()),
 		PrevU:    u,
-		Servers:  servers,
 		Demands:  repro.TableIDemands(),
 		RefPower: target.PowerWatts,
 	}

@@ -381,7 +381,6 @@ func (c *Controller) Step(demands []float64) (*Telemetry, error) {
 		Model:        c.model,
 		State:        c.state,
 		PrevU:        c.u,
-		Servers:      c.servers,
 		Demands:      demands,
 		RefPower:     c.refPower,
 		RefPowerTraj: c.refTraj,

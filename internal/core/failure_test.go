@@ -270,18 +270,22 @@ func TestSetBudgetsDemandResponse(t *testing.T) {
 	}
 }
 
-// TestUnrepresentablePriceIsBadModel pins a finite price too large for the
-// model to represent, 1e303 $/MWh, as a model error: the slow tick fails
-// with ctrl.ErrBadModel rather than a malformed QP.
+// TestUnrepresentablePriceIsBadModel pins finite prices too large for the
+// model to represent as a model error rather than a malformed QP: 1e303
+// $/MWh fails the slow tick's model build, and 1e300, which leaves the
+// model finite at Ts 30, fails the fast loop's condensed build (its Ω
+// overflows) with ctrl.ErrBadModel.
 func TestUnrepresentablePriceIsBadModel(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Prices = &togglePrices{val: 1e303}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := c.Step(workload.TableI()); !errors.Is(err, ctrl.ErrBadModel) {
-		t.Fatalf("Step = %v, want ctrl.ErrBadModel", err)
+	for _, bad := range []float64{1e300, 1e303} {
+		cfg := baseConfig()
+		cfg.Prices = &togglePrices{val: bad}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := c.Step(workload.TableI()); !errors.Is(err, ctrl.ErrBadModel) {
+			t.Errorf("price %g: Step = %v, want ctrl.ErrBadModel", bad, err)
+		}
 	}
 }
 

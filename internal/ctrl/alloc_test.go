@@ -30,7 +30,6 @@ func TestMPCStepSteadyStateAllocFree(t *testing.T) {
 		Model:    model,
 		State:    make([]float64, model.StateDim()),
 		PrevU:    u0,
-		Servers:  servers,
 		Demands:  workload.TableI(),
 		RefPower: refPower,
 	}
@@ -83,7 +82,6 @@ func TestMPCStepInstrumentedAllocFree(t *testing.T) {
 		Model:    model,
 		State:    make([]float64, model.StateDim()),
 		PrevU:    u0,
-		Servers:  servers,
 		Demands:  workload.TableI(),
 		RefPower: refPower,
 	}

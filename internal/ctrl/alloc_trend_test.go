@@ -58,10 +58,6 @@ func TestMPCStepAllocTrend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			servers := make([]int, n)
-			for j := range servers {
-				servers[j] = top.IDC(j).TotalServers
-			}
 			mpc, err := NewMPC(MPCConfig{PowerWeight: 1, SmoothWeight: 4, PredHorizon: 6, CtrlHorizon: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -70,7 +66,6 @@ func TestMPCStepAllocTrend(t *testing.T) {
 				Model:    model,
 				State:    make([]float64, model.StateDim()),
 				PrevU:    ref.Allocation.Vector(),
-				Servers:  servers,
 				Demands:  demands,
 				RefPower: ref.PowerWatts,
 			}

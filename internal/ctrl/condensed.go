@@ -58,11 +58,12 @@ func newConstraints(top *idc.Topology, b2 int) *constraints {
 
 // condensed caches everything about the MPC problem (42)–(45) that depends
 // only on the model and the controller configuration: the Φ power chain,
-// the cumG/cumPhi prefix sums, the condensed prediction matrix Θ, the
-// stacked row and move weights and the lowered QP Hessian, plus a
-// qp.Workspace carrying the solver's cross-solve caches (Cholesky factor
-// of H, H⁻¹aᵢ columns, Schur products, Gram–Schmidt prune state). The
-// constraint structure it solves against is the MPC's shared one.
+// the cumG/cumPhi prefix sums, the disturbance response Ω, the latency
+// caps, the condensed prediction matrix Θ, the stacked row and move weights
+// and the lowered QP Hessian, plus a qp.Workspace carrying the solver's
+// cross-solve caches (Cholesky factor of H, H⁻¹aᵢ columns, Schur products,
+// Gram–Schmidt prune state). The constraint structure it solves against is
+// the MPC's shared one.
 //
 // The paper's two-time-scale design (§IV) makes this worthwhile: the
 // discretized model changes only at slow ticks (hourly price updates), yet
@@ -82,6 +83,13 @@ type condensed struct {
 	phiPow []*mat.Dense
 	cumG   []*mat.Dense
 	cumPhi []*mat.Dense
+	// omega is β1×ns: row s−1 is Ω_s = cumPhi[s−1]·Γ·V̄, the folded model's
+	// constant standby disturbance V̄_j = 1/(µ_j·D_j) carried s steps ahead.
+	omega *mat.Dense
+	// caps is the φ of Ψ·U ≤ φ: each IDC's full-fleet capacity
+	// M_j·µ_j − 1/D_j, since the folded sleep law keeps m_j on the latency
+	// boundary and only m_j ≤ M_j binds.
+	caps []float64
 	// theta is the condensed prediction matrix with
 	// Θ_{s,r} = cumG[s−1−r] for r < min(s, β2).
 	theta *mat.Dense
@@ -124,7 +132,7 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condense
 	//   cumPhi[s] = Σ_{t=0}^{s} Φ^t   (s = 0…β1−1),
 	// with the condensed prediction over z = (ΔU_0 … ΔU_{β2−1})
 	//   X(k+s) = Φ^s X + Ξ_s U(k−1) + Ω_s + Θ_{s,r} z,
-	//   Ξ_s = cumG[s−1], Ω_s = cumPhi[s−1]·Γ·V,
+	//   Ξ_s = cumG[s−1], Ω_s = cumPhi[s−1]·Γ·V̄,
 	//   Θ_{s,r} = Σ_{t=r}^{s−1} Φ^{s−1−t} G = cumG[s−1−r] for r < min(s, β2).
 	// Iteration s extends each chain one term and fills Θ's row block s,
 	// which reads only cumG[0…s−1] — all built by then. Every value comes
@@ -186,6 +194,28 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condense
 		if err := checkRepresentable(model.prices, cumPhi[s], "cumPhi", s); err != nil {
 			return nil, err
 		}
+	}
+
+	// Ω_s = cumPhi[s−1]·Γ·V̄. Its C̄ entries overflow at prices the chain
+	// above still represents (from 1e297 $/MWh at Ts 300), and through Θ's
+	// zero-weight C̄ rows an infinite residual would reach the QP as a NaN.
+	vbar := make([]float64, top.N())
+	for j := range vbar {
+		d := top.IDC(j)
+		vbar[j] = 1 / (d.ServiceRate * d.DelayBound)
+	}
+	gamV := make([]float64, ns)
+	if err := mat.MulVecInto(gamV, model.Gamma, vbar); err != nil {
+		return nil, err
+	}
+	omega := mat.Zeros(b1, ns)
+	for s := 0; s < b1; s++ {
+		if err := mat.MulVecInto(omega.RowView(s), cumPhi[s], gamV); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkRepresentable(model.prices, omega, "omega", -1); err != nil {
+		return nil, err
 	}
 
 	// Row weights: CostWeight on C̄ rows, PowerWeight on E rows.
@@ -278,6 +308,8 @@ func newCondensed(model *Model, cfg MPCConfig, cons *constraints, prev *condense
 		phiPow:  phiPow,
 		cumG:    cumG,
 		cumPhi:  cumPhi,
+		omega:   omega,
+		caps:    top.Capacities(),
 		theta:   theta,
 		wq:      wq,
 		wr:      wr,

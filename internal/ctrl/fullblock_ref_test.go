@@ -17,12 +17,12 @@ type fullBlock struct {
 }
 
 // fullBlockModel is the reference TestModelMatchesFullBlock and
-// FuzzModelMatchesFullBlock check the model constructors against: the
+// FuzzModelMatchesFullBlock check NewFoldedModel against: the
 // discretization as it ran while the Van Loan block carried every portal
-// column of B, (N+1+NC+N)-square. It fills A, B and F as the plain model
-// (or, folded, the model of eq. 36) does, discretizes A over the
-// concatenated [B | F] in one call and slices G and Γ out of the result.
-func fullBlockModel(top *idc.Topology, prices []float64, ts float64, folded bool) (*fullBlock, error) {
+// column of B, (N+1+NC+N)-square. It fills A, B and F as the model of
+// eq. (36) does, discretizes A over the concatenated [B | F] in one call
+// and slices G and Γ out of the result.
+func fullBlockModel(top *idc.Topology, prices []float64, ts float64) (*fullBlock, error) {
 	n, c := top.N(), top.C()
 	ns := n + 1
 
@@ -34,10 +34,7 @@ func fullBlockModel(top *idc.Topology, prices []float64, ts float64, folded bool
 	f := mat.Zeros(ns, n)
 	for j := 0; j < n; j++ {
 		d := top.IDC(j)
-		eff := d.Power.B1
-		if folded {
-			eff = d.Power.B1 + d.Power.B0/d.ServiceRate
-		}
+		eff := d.Power.B1 + d.Power.B0/d.ServiceRate
 		for i := 0; i < c; i++ {
 			b.Set(1+j, top.Index(i, j), eff)
 		}
@@ -95,11 +92,11 @@ func diffFullBlock(m *Model, fb *fullBlock) string {
 // checkMatchesFullBlock builds the model both ways and fails t unless they
 // agree: the same bits in every matrix when the reference is finite, and
 // ErrBadModel when it is not.
-func checkMatchesFullBlock(t *testing.T, top *idc.Topology, prices []float64, ts float64, folded bool) {
+func checkMatchesFullBlock(t *testing.T, top *idc.Topology, prices []float64, ts float64) {
 	t.Helper()
-	at := fmt.Sprintf("C%d×N%d folded=%v ts=%g prices %v", top.C(), top.N(), folded, ts, prices)
-	fb, refErr := fullBlockModel(top, prices, ts, folded)
-	m, err := newModel(top, prices, ts, folded)
+	at := fmt.Sprintf("C%d×N%d ts=%g prices %v", top.C(), top.N(), ts, prices)
+	fb, refErr := fullBlockModel(top, prices, ts)
+	m, err := NewFoldedModel(top, prices, ts)
 	switch {
 	case refErr != nil:
 		if err == nil {
@@ -118,10 +115,10 @@ func checkMatchesFullBlock(t *testing.T, top *idc.Topology, prices []float64, ts
 	}
 }
 
-// TestModelMatchesFullBlock checks that the plain and the folded model,
-// discretized over one input column per IDC, carry the full block's Φ, G
-// and Γ bit for bit across topologies from C1×N1 to C20×N10, zero,
-// paper-scale, 1e8 and mixed prices, and Ts from 0.01 to 3600 s.
+// TestModelMatchesFullBlock checks that the model, discretized over one
+// input column per IDC, carries the full block's Φ, G and Γ bit for bit
+// across topologies from C1×N1 to C20×N10, zero, paper-scale, 1e8 and
+// mixed prices, and Ts from 0.01 to 3600 s.
 func TestModelMatchesFullBlock(t *testing.T) {
 	tops := []*idc.Topology{idc.PaperTopology()}
 	for _, s := range []struct{ c, n int }{{1, 1}, {4, 3}, {8, 6}, {20, 10}} {
@@ -147,9 +144,7 @@ func TestModelMatchesFullBlock(t *testing.T) {
 		}
 		for _, name := range []string{"zero", "paper", "1e8", "mixed"} {
 			for _, ts := range []float64{0.01, 30, 300, 3600} {
-				for _, folded := range []bool{false, true} {
-					checkMatchesFullBlock(t, top, vectors[name], ts, folded)
-				}
+				checkMatchesFullBlock(t, top, vectors[name], ts)
 			}
 		}
 	}
@@ -157,13 +152,12 @@ func TestModelMatchesFullBlock(t *testing.T) {
 
 // FuzzModelMatchesFullBlock checks the one-column-per-IDC discretization
 // against the full block over a synthetic topology with C ≤ 8 and N ≤ 6,
-// the plain or the folded model, any Ts > 0 and fuzzed finite prices,
-// the overflow range included: either both sides give the same bits, or
+// any Ts > 0 and fuzzed finite prices, the overflow range included: either both sides give the same bits, or
 // the model is ErrBadModel exactly when the reference has a non-finite
 // entry. The checked-in seeds cover paper prices, a zero price, 1e302 and
 // Ts 0.01.
 func FuzzModelMatchesFullBlock(f *testing.F) {
-	f.Fuzz(func(t *testing.T, c, n uint8, folded bool, ts float64, priceBits []byte) {
+	f.Fuzz(func(t *testing.T, c, n uint8, ts float64, priceBits []byte) {
 		ts = math.Abs(ts)
 		if ts == 0 || math.IsNaN(ts) || math.IsInf(ts, 0) {
 			t.Skip("sampling period not positive and finite")
@@ -184,6 +178,6 @@ func FuzzModelMatchesFullBlock(f *testing.F) {
 			}
 			prices[j] = p
 		}
-		checkMatchesFullBlock(t, top, prices, ts, folded)
+		checkMatchesFullBlock(t, top, prices, ts)
 	})
 }

@@ -51,10 +51,6 @@ func TestMPCGridBitsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]int, n)
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
 	demandAt := func(k int) []float64 {
 		d := make([]float64, c)
 		for i := range d {
@@ -95,7 +91,6 @@ func TestMPCGridBitsUnchanged(t *testing.T) {
 			Model:    model,
 			State:    state,
 			PrevU:    prevU,
-			Servers:  servers,
 			Demands:  demandAt(k),
 			RefPower: ref.PowerWatts,
 		}

@@ -11,8 +11,9 @@
 //
 // where C̄ accumulates Σ_j Pr_j·E_j and E_j accumulates IDC j's energy
 // (Ė_j = P_j = b1_j·λ_j + b0_j·m_j). The control input is the allocation
-// vector U ∈ ℝ^{NC} in idc.Topology order, and the disturbance V is the
-// active-server count vector.
+// vector U ∈ ℝ^{NC} in idc.Topology order. The sleep-control law is folded
+// into the plant (eq. 36), so the controller's disturbance is the constant
+// standby vector V̄_j = 1/(µ_j·D_j), not the active-server counts.
 package ctrl
 
 import (
@@ -48,7 +49,6 @@ type Model struct {
 	top     *idc.Topology
 	prices  []float64
 	ts      float64
-	folded  bool
 	version uint64
 
 	// Continuous-time matrices (eqs. 19–20).
@@ -62,23 +62,26 @@ type Model struct {
 	Gamma *mat.Dense // ∫ e^{As} ds · F
 }
 
-// NewModel builds and discretizes the system for the given per-IDC prices
-// ($/MWh) and sampling period ts (seconds).
+// NewFoldedModel builds and discretizes the model of eq. (36) for the
+// given per-IDC prices ($/MWh) and sampling period ts (seconds): the
+// sleep-control law m_j = (λ_j + 1/D_j)/µ_j is substituted into the plant,
+// making the input matrix G' = F + Γ·µ̄·Ψ in the paper's notation.
+// Concretely each IDC's power becomes an affine function of its workload
+// alone:
 //
-//lint:ignore testonly the plain plant the ctrl tests drive; TestFoldedModelMatchesPlantWithSleepLaw checks the folded model against it
-func NewModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
-	return newModel(top, prices, ts, false)
-}
-
-// newModel builds and discretizes the plain model, or the folded one of
-// eq. (36), whose per-IDC power gain b1_j becomes b1_j + b0_j/µ_j.
+//	Ė_j = (b1_j + b0_j/µ_j)·λ_j + b0_j/(µ_j·D_j)
 //
-// Every portal column of IDC j in B holds that gain at row 1+j and nothing
-// else, so the Van Loan block is built over one input column per IDC plus
-// F, (3N+1)-square instead of (N+1+NC+N)-square, and each resulting G
-// column is copied to its IDC's C portal columns. Φ, G and Γ are the full
-// block's bit for bit (DESIGN.md §3.1).
-func newModel(top *idc.Topology, prices []float64, ts float64, folded bool) (*Model, error) {
+// so the controller predicts server power without needing the integer
+// server count as an input; the constant second term is the disturbance Ω.
+// Latency caps are the full-fleet capacities (the per-step sleep law keeps
+// m on the latency boundary by construction, so only m_j ≤ M_j binds).
+//
+// Every portal column of IDC j in B holds the gain b1_j + b0_j/µ_j at row
+// 1+j and nothing else, so the Van Loan block is built over one input
+// column per IDC plus F, (3N+1)-square instead of (N+1+NC+N)-square, and
+// each resulting G column is copied to its IDC's C portal columns. Φ, G and
+// Γ are the full block's bit for bit (DESIGN.md §3.1).
+func NewFoldedModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
 	if top == nil {
 		return nil, fmt.Errorf("nil topology: %w", ErrBadModel)
 	}
@@ -99,11 +102,7 @@ func newModel(top *idc.Topology, prices []float64, ts float64, folded bool) (*Mo
 	bf := mat.Zeros(ns, 2*n)
 	for j := 0; j < n; j++ {
 		d := top.IDC(j)
-		gain := d.Power.B1
-		if folded {
-			gain += d.Power.B0 / d.ServiceRate
-		}
-		bf.Set(1+j, j, gain)
+		bf.Set(1+j, j, d.Power.B1+d.Power.B0/d.ServiceRate)
 		bf.Set(1+j, n+j, d.Power.B0)
 	}
 	phi, gAll, err := mat.Discretize(a, bf, ts)
@@ -116,7 +115,6 @@ func newModel(top *idc.Topology, prices []float64, ts float64, folded bool) (*Mo
 		top:    top,
 		prices: pr,
 		ts:     ts,
-		folded: folded,
 		A:      a,
 		B:      perPortal(top, bf),
 		F:      bf.Slice(0, ns, n, 2*n),
@@ -191,9 +189,8 @@ func (m *Model) Topology() *idc.Topology { return m.top }
 func (m *Model) Ts() float64 { return m.ts }
 
 // Version returns the model's process-unique construction version. Every
-// NewModel/NewFoldedModel call — including the slow-loop rebuild in
-// core.Controller — yields a new version, giving cache layers an exact
-// invalidation signal.
+// NewFoldedModel call — including the slow-loop rebuild in core.Controller
+// — yields a new version, giving cache layers an exact invalidation signal.
 func (m *Model) Version() uint64 { return m.version }
 
 // Prices returns a copy of the prices baked into A.
@@ -214,9 +211,8 @@ func (m *Model) InputDim() int { return m.top.NU() }
 //
 //	X(k) = Φ·X(k−1) + G·U(k−1) + Γ·V(k−1)
 //
-// V is m for the plain model. A folded model's G already carries each
-// IDC's idle power for λ_j/µ_j servers, so its V is m_j − λ_j/µ_j; either
-// way E_j integrates the plant's b1_j·λ_j + b0_j·m_j.
+// G already carries each IDC's idle power for λ_j/µ_j servers, so V is
+// m_j − λ_j/µ_j and E_j integrates the plant's b1_j·λ_j + b0_j·m_j.
 func (m *Model) Step(x, u []float64, servers []int) ([]float64, error) {
 	if len(x) != m.StateDim() {
 		return nil, fmt.Errorf("state length %d, want %d: %w", len(x), m.StateDim(), ErrBadModel)
@@ -237,14 +233,11 @@ func (m *Model) Step(x, u []float64, servers []int) ([]float64, error) {
 	}
 	v := make([]float64, len(servers))
 	for j, s := range servers {
-		v[j] = float64(s)
-		if m.folded {
-			var lambda float64
-			for i := 0; i < m.top.C(); i++ {
-				lambda += u[m.top.Index(i, j)]
-			}
-			v[j] -= lambda / m.top.IDC(j).ServiceRate
+		var lambda float64
+		for i := 0; i < m.top.C(); i++ {
+			lambda += u[m.top.Index(i, j)]
 		}
+		v[j] = float64(s) - lambda/m.top.IDC(j).ServiceRate
 	}
 	gv, err := mat.MulVec(m.Gamma, v)
 	if err != nil {
@@ -273,67 +266,4 @@ func (m *Model) PowerRates(u []float64, servers []int) ([]float64, error) {
 		out[j] = m.top.IDC(j).Power.FleetPower(servers[j], per[j])
 	}
 	return out, nil
-}
-
-// NewFoldedModel builds the model of eq. (36): the sleep-control law
-// m_j = (λ_j + 1/D_j)/µ_j is substituted into the plant, making the input
-// matrix G' = F + Γ·µ̄·Ψ in the paper's notation. Concretely each IDC's
-// power becomes an affine function of its workload alone:
-//
-//	Ė_j = (b1_j + b0_j/µ_j)·λ_j + b0_j/(µ_j·D_j)
-//
-// so the controller predicts server power without needing the integer
-// server count as an input; the constant second term is the disturbance Ω.
-// Latency caps for a folded model are the full-fleet capacities (the
-// per-step sleep law keeps m on the latency boundary by construction, so
-// only m_j ≤ M_j binds).
-func NewFoldedModel(top *idc.Topology, prices []float64, ts float64) (*Model, error) {
-	return newModel(top, prices, ts, true)
-}
-
-// Folded reports whether the sleep-control law is folded into the plant.
-func (m *Model) Folded() bool { return m.folded }
-
-// DisturbanceVecInto writes the V vector multiplying Γ into dst, which
-// must have length N: the active-server counts for the plain model, or the
-// constant standby terms 1/(µ_j·D_j) for a folded model (servers is then
-// ignored).
-func (m *Model) DisturbanceVecInto(dst []float64, servers []int) {
-	n := m.top.N()
-	if len(dst) != n {
-		panic(fmt.Sprintf("ctrl: DisturbanceVecInto dst length %d, want %d", len(dst), n))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	if m.folded {
-		for j := 0; j < n; j++ {
-			d := m.top.IDC(j)
-			dst[j] = 1 / (d.ServiceRate * d.DelayBound)
-		}
-		return
-	}
-	for j := 0; j < n && j < len(servers); j++ {
-		dst[j] = float64(servers[j])
-	}
-}
-
-// CapServersInto returns the server counts to use for the latency caps
-// (the actual counts for a plain model, the full fleet for a folded one),
-// reusing buf's backing array when it has capacity.
-func (m *Model) CapServersInto(buf []int, servers []int) []int {
-	if !m.folded {
-		return append(buf[:0], servers...)
-	}
-	n := m.top.N()
-	if cap(buf) < n {
-		//lint:ignore hotalloc grow-only scratch: allocates only until the steady size is reached
-		buf = make([]int, n)
-	} else {
-		buf = buf[:n]
-	}
-	for j := range buf {
-		buf[j] = m.top.IDC(j).TotalServers
-	}
-	return buf
 }

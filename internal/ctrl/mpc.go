@@ -135,18 +135,15 @@ func (m *MPC) SetInstruments(in Instruments) {
 //
 //lint:nocopy
 type stepScratch struct {
-	dist, gamV       []float64
-	d, refEnergy     []float64
-	free, xiU, omega []float64
-	phi              []float64
-	capSrv           []int
-	hPrev, psiPrev   []float64
-	beq, bin         []float64
-	zero, shifted    []float64
-	feasBuf          []float64
-	deltaU, u        []float64
-	ls               qp.LSProblem
-	out              StepOutput
+	d, refEnergy   []float64
+	free, xiU      []float64
+	hPrev, psiPrev []float64
+	beq, bin       []float64
+	zero, shifted  []float64
+	feasBuf        []float64
+	deltaU, u      []float64
+	ls             qp.LSProblem
+	out            StepOutput
 }
 
 // NewMPC validates the configuration and returns a controller.
@@ -169,8 +166,9 @@ type StepInput struct {
 	State []float64
 	// PrevU is U(k−1), the allocation applied during the previous period.
 	PrevU []float64
-	// Servers is the current active-server vector m (disturbance V and the
-	// latency caps φ).
+	// Servers is unread: the folded model's disturbance and latency caps
+	// do not depend on the active-server counts, so Step neither reads nor
+	// validates it. It is deleted with bench/replay.go, its last setter.
 	Servers []int
 	// Demands is the portal demand vector L for the conservation equality.
 	Demands []float64
@@ -263,15 +261,7 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	}
 	sc := &m.sc
 
-	sc.dist = mat.GrowVec(sc.dist, top.N())
-	model.DisturbanceVecInto(sc.dist, in.Servers)
-	sc.gamV = mat.GrowVec(sc.gamV, ns)
-	if err := mat.MulVecInto(sc.gamV, model.Gamma, sc.dist); err != nil {
-		return nil, err
-	}
-	gamV := sc.gamV
-
-	// Free response and reference → stacked residual d = ref − free(X, U, V).
+	// Free response and reference → stacked residual d = ref − free(X, U, V̄).
 	ts := model.Ts()
 	prices := model.prices // read-only; Prices() would copy per step
 	// refAt returns the power reference for prediction step s (1-based):
@@ -294,8 +284,7 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	refCost := in.State[0]
 	sc.free = mat.GrowVec(sc.free, ns)
 	sc.xiU = mat.GrowVec(sc.xiU, ns)
-	sc.omega = mat.GrowVec(sc.omega, ns)
-	free, xiU, omega := sc.free, sc.xiU, sc.omega
+	free, xiU := sc.free, sc.xiU
 	for s := 1; s <= b1; s++ {
 		if err := mat.MulVecInto(free, cd.phiPow[s], in.State); err != nil {
 			return nil, err
@@ -303,9 +292,7 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		if err := mat.MulVecInto(xiU, cd.cumG[s-1], in.PrevU); err != nil {
 			return nil, err
 		}
-		if err := mat.MulVecInto(omega, cd.cumPhi[s-1], gamV); err != nil {
-			return nil, err
-		}
+		omega := cd.omega.RowView(s - 1)
 		stepRef := refAt(s)
 		// The C̄ reference ramps at Σ_j Pr_j·P_ref_j; only CostWeight > 0
 		// weighs that row.
@@ -438,9 +425,6 @@ func (m *MPC) validate(in StepInput) error {
 	if len(in.PrevU) != in.Model.InputDim() {
 		return fmt.Errorf("prevU length %d, want %d: %w", len(in.PrevU), in.Model.InputDim(), ErrBadConfig)
 	}
-	if len(in.Servers) != top.N() {
-		return fmt.Errorf("%d server counts for %d IDCs: %w", len(in.Servers), top.N(), ErrBadConfig)
-	}
 	if len(in.Demands) != top.C() {
 		return fmt.Errorf("%d demands for %d portals: %w", len(in.Demands), top.C(), ErrBadConfig)
 	}
@@ -453,8 +437,8 @@ func (m *MPC) validate(in StepInput) error {
 // constraintRHS builds the right-hand sides of (43)–(45) over z: per-step
 // conservation equalities, latency caps, and nonnegativity of the cumulated
 // allocation U(k+s) = U(k−1) + Σ_{r≤s} ΔU_r. The matrices themselves are
-// structural and live in the condensed cache; only demands, server counts
-// and U(k−1) vary per step.
+// structural and the caps φ per model, all in the condensed cache; only
+// demands and U(k−1) vary per step.
 func (m *MPC) constraintRHS(cd *condensed, in StepInput) (beq, bin []float64, err error) {
 	top := in.Model.Topology()
 	nu := in.Model.InputDim()
@@ -463,12 +447,6 @@ func (m *MPC) constraintRHS(cd *condensed, in StepInput) (beq, bin []float64, er
 	n := top.N()
 
 	sc := &m.sc
-	sc.capSrv = in.Model.CapServersInto(sc.capSrv, in.Servers)
-	sc.phi = mat.GrowVec(sc.phi, n)
-	phi := sc.phi
-	if err := top.LatencyRHSInto(phi, sc.capSrv); err != nil {
-		return nil, nil, err
-	}
 	sc.hPrev = mat.GrowVec(sc.hPrev, c)
 	hPrev := sc.hPrev
 	if err := mat.MulVecInto(hPrev, cd.cons.consH, in.PrevU); err != nil {
@@ -488,7 +466,7 @@ func (m *MPC) constraintRHS(cd *condensed, in StepInput) (beq, bin []float64, er
 			beq[s*c+i] = in.Demands[i] - hPrev[i]
 		}
 		for j := 0; j < n; j++ {
-			bin[s*n+j] = phi[j] - psiPrev[j]
+			bin[s*n+j] = cd.caps[j] - psiPrev[j]
 		}
 		for i := 0; i < nu; i++ {
 			bin[b2*n+s*nu+i] = in.PrevU[i]

@@ -15,16 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// newFlipTestModel builds the folded model the core controller uses.
-func newFlipTestModel(t *testing.T, prices []float64, ts float64) *Model {
-	t.Helper()
-	m, err := NewFoldedModel(idc.PaperTopology(), prices, ts)
-	if err != nil {
-		t.Fatalf("NewFoldedModel: %v", err)
-	}
-	return m
-}
-
 // TestCondensedCacheBitIdentical drives a cached and an uncached MPC in
 // lockstep through a closed loop that crosses both kinds of invalidation
 // the controller sees in production: a same-price slow-tick rebuild (new
@@ -44,9 +34,9 @@ func TestCondensedCacheBitIdentical(t *testing.T) {
 	// Model schedule mimicking hourly slow ticks: steps 0–9 on the 6H
 	// model, a same-price rebuild at step 10 (fresh version), the price
 	// flip to 7H at step 20.
-	m6 := newFlipTestModel(t, testPrices6H, ts)
-	m6b := newFlipTestModel(t, testPrices6H, ts)
-	m7 := newFlipTestModel(t, testPrices7H, ts)
+	m6 := newTestModel(t, testPrices6H, ts)
+	m6b := newTestModel(t, testPrices6H, ts)
+	m7 := newTestModel(t, testPrices7H, ts)
 	modelAt := func(k int) *Model {
 		switch {
 		case k < 10:
@@ -81,7 +71,6 @@ func TestCondensedCacheBitIdentical(t *testing.T) {
 			Model:    model,
 			State:    state,
 			PrevU:    u,
-			Servers:  servers,
 			Demands:  demands,
 			RefPower: refPower,
 		}
@@ -205,7 +194,7 @@ func TestPriceSwapsCarryWorkspace(t *testing.T) {
 		var prevWS *qp.Workspace
 		wantFactorizations := uint64(0)
 		for k := 0; k < steps; k++ {
-			model := newFlipTestModel(t, prices[k], ts)
+			model := newTestModel(t, prices[k], ts)
 			ref, err := alloc.Optimize(top, prices[k], demandAt(k))
 			if err != nil {
 				t.Fatalf("step %d: Optimize: %v", k, err)
@@ -214,7 +203,6 @@ func TestPriceSwapsCarryWorkspace(t *testing.T) {
 				Model:    model,
 				State:    state,
 				PrevU:    u,
-				Servers:  servers,
 				Demands:  demandAt(k),
 				RefPower: ref.PowerWatts,
 			}
@@ -266,8 +254,8 @@ func TestPriceSwapsCarryWorkspace(t *testing.T) {
 // fuzzed float64s (negative, zero, huge or repeating the previous step's
 // vector) and with demands inside capacity. A step whose prices are too
 // large for NewFoldedModel to represent is skipped. The cached and the
-// uncached MPC must agree bit for bit on DeltaU, U and PredictedStates,
-// and on the error when a step fails. The checked-in seeds, one per weight
+// uncached MPC must agree bit for bit on DeltaU and U, and on the error
+// when a step fails. The checked-in seeds, one per weight
 // mode, repeat a vector and set prices to 0 and below 0.
 func FuzzPriceSwapMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, c, n, b1, b2, steps, smooth uint8, weighted bool, costWeight float64,
@@ -359,7 +347,7 @@ func FuzzPriceSwapMatchesUncached(f *testing.F) {
 			}
 			in := StepInput{
 				Model: model, State: state, PrevU: u,
-				Servers: servers, Demands: demands, RefPower: ref,
+				Demands: demands, RefPower: ref,
 			}
 			outC, errC := cached.Step(in)
 			outU, errU := uncached.Step(in)
@@ -398,8 +386,8 @@ func finite(xs []float64) bool {
 // model.
 func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	top := idc.PaperTopology()
-	m6 := newFlipTestModel(t, testPrices6H, 30)
-	m7 := newFlipTestModel(t, testPrices7H, 30)
+	m6 := newTestModel(t, testPrices6H, 30)
+	m7 := newTestModel(t, testPrices7H, 30)
 	servers := make([]int, top.N())
 	for j := range servers {
 		servers[j] = top.IDC(j).TotalServers
@@ -415,7 +403,7 @@ func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	}
 	if _, err := mpc.Step(StepInput{
 		Model: m6, State: make([]float64, top.N()+1), PrevU: u,
-		Servers: servers, Demands: workload.TableI(), RefPower: refPower,
+		Demands: workload.TableI(), RefPower: refPower,
 	}); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
@@ -441,13 +429,13 @@ func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 // TestModelVersionsUnique pins the invalidation signal: every construction
 // yields a distinct version.
 func TestModelVersionsUnique(t *testing.T) {
-	a := newFlipTestModel(t, testPrices6H, 30)
-	b := newFlipTestModel(t, testPrices6H, 30)
+	a := newTestModel(t, testPrices6H, 30)
+	b := newTestModel(t, testPrices6H, 30)
 	if a.Version() == b.Version() {
 		t.Fatalf("two models share version %d", a.Version())
 	}
-	c := newTestModel(t, testPrices6H, 30)
+	c := newTestModel(t, testPrices7H, 30)
 	if c.Version() == a.Version() || c.Version() == b.Version() {
-		t.Fatalf("NewModel reused a version")
+		t.Fatalf("a third build reused a version")
 	}
 }

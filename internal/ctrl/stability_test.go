@@ -32,12 +32,10 @@ type ContractionReport struct {
 // and estimates the per-step contraction factor of the tracking error.
 //
 // The plant is the model itself (perfect model assumption, as in the
-// paper's proofs): servers are only used for the latency caps/disturbance
-// of non-folded models.
+// paper's proofs), run with the eq. (35) servers of each allocation.
 func EstimateContraction(
 	model *Model, mpc *MPC,
-	u0 []float64, servers []int,
-	demands, refPower []float64,
+	u0, demands, refPower []float64,
 	steps int,
 ) (*ContractionReport, error) {
 	if model == nil || mpc == nil {
@@ -51,7 +49,11 @@ func EstimateContraction(
 	errs := make([]float64, 0, steps+1)
 
 	trackErr := func(u []float64) (float64, error) {
-		rates, err := model.PowerRates(u, effectiveServers(model, u, servers))
+		servers, err := effectiveServers(model, u)
+		if err != nil {
+			return 0, err
+		}
+		rates, err := model.PowerRates(u, servers)
 		if err != nil {
 			return 0, err
 		}
@@ -68,7 +70,6 @@ func EstimateContraction(
 			Model:    model,
 			State:    state,
 			PrevU:    u,
-			Servers:  servers,
 			Demands:  demands,
 			RefPower: refPower,
 		})
@@ -76,8 +77,11 @@ func EstimateContraction(
 			return nil, fmt.Errorf("ctrl: contraction step %d: %w", k, err)
 		}
 		u = out.U
-		state, err = model.Step(state, u, effectiveServers(model, u, servers))
+		servers, err := effectiveServers(model, u)
 		if err != nil {
+			return nil, err
+		}
+		if state, err = model.Step(state, u, servers); err != nil {
 			return nil, err
 		}
 		e, err := trackErr(u)
@@ -117,31 +121,27 @@ func EstimateContraction(
 	}, nil
 }
 
-// effectiveServers returns the server counts to run the plant with: the
-// eq. (35) sleep law for a folded model (tracking the allocation), the
-// provided counts otherwise.
-func effectiveServers(model *Model, u []float64, servers []int) []int {
-	if !model.Folded() {
-		return servers
-	}
+// effectiveServers returns the eq. (35) sleep-law server counts for
+// allocation u: the plant the folded model stands for.
+func effectiveServers(model *Model, u []float64) ([]int, error) {
 	top := model.Topology()
 	alloc, err := idc.AllocationFromVector(top, u)
 	if err != nil {
-		return servers
+		return nil, err
 	}
 	per := alloc.PerIDC()
 	out := make([]int, top.N())
 	for j := range out {
 		m, err := top.IDC(j).MinServersFor(per[j])
 		if err != nil {
-			return servers
+			return nil, err
 		}
 		out[j] = m
 	}
-	return out
+	return out, nil
 }
 
-func contractionSetup(t *testing.T, smooth float64) (*Model, *MPC, []float64, []int, []float64) {
+func contractionSetup(t *testing.T, smooth float64) (*Model, *MPC, []float64, []float64) {
 	t.Helper()
 	top := idc.PaperTopology()
 	model, err := NewFoldedModel(top, testPrices7H, 30)
@@ -161,22 +161,18 @@ func contractionSetup(t *testing.T, smooth float64) (*Model, *MPC, []float64, []
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	servers := make([]int, top.N())
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
-	return model, mpc, start.Allocation.Vector(), servers, target.PowerWatts
+	return model, mpc, start.Allocation.Vector(), target.PowerWatts
 }
 
 func TestEstimateContractionValidation(t *testing.T) {
-	model, mpc, u0, servers, ref := contractionSetup(t, 4)
-	if _, err := EstimateContraction(nil, mpc, u0, servers, workload.TableI(), ref, 5); !errors.Is(err, ErrBadConfig) {
+	model, mpc, u0, ref := contractionSetup(t, 4)
+	if _, err := EstimateContraction(nil, mpc, u0, workload.TableI(), ref, 5); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil model: %v", err)
 	}
-	if _, err := EstimateContraction(model, nil, u0, servers, workload.TableI(), ref, 5); !errors.Is(err, ErrBadConfig) {
+	if _, err := EstimateContraction(model, nil, u0, workload.TableI(), ref, 5); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil mpc: %v", err)
 	}
-	if _, err := EstimateContraction(model, mpc, u0, servers, workload.TableI(), ref, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := EstimateContraction(model, mpc, u0, workload.TableI(), ref, 0); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("zero steps: %v", err)
 	}
 }
@@ -184,8 +180,8 @@ func TestEstimateContractionValidation(t *testing.T) {
 // TestClosedLoopContractive is the empirical §IV.E check: the constrained
 // MPC loop contracts toward the reference (ρ < 1) and converges.
 func TestClosedLoopContractive(t *testing.T) {
-	model, mpc, u0, servers, ref := contractionSetup(t, 4)
-	rep, err := EstimateContraction(model, mpc, u0, servers, workload.TableI(), ref, 60)
+	model, mpc, u0, ref := contractionSetup(t, 4)
+	rep, err := EstimateContraction(model, mpc, u0, workload.TableI(), ref, 60)
 	if err != nil {
 		t.Fatalf("EstimateContraction: %v", err)
 	}
@@ -207,8 +203,8 @@ func TestClosedLoopContractive(t *testing.T) {
 // still stable) — the quantitative version of the Q/R trade-off.
 func TestContractionSlowsWithSmoothing(t *testing.T) {
 	rho := func(smooth float64) float64 {
-		model, mpc, u0, servers, ref := contractionSetup(t, smooth)
-		rep, err := EstimateContraction(model, mpc, u0, servers, workload.TableI(), ref, 40)
+		model, mpc, u0, ref := contractionSetup(t, smooth)
+		rep, err := EstimateContraction(model, mpc, u0, workload.TableI(), ref, 40)
 		if err != nil {
 			t.Fatalf("EstimateContraction(%g): %v", smooth, err)
 		}
@@ -224,8 +220,8 @@ func TestContractionSlowsWithSmoothing(t *testing.T) {
 // TestContractionMatchesFirstOrderPrediction: the documented semantics say
 // the loop closes ≈ 1/(1+R) of the gap per step, i.e. ρ ≈ R/(1+R).
 func TestContractionMatchesFirstOrderPrediction(t *testing.T) {
-	model, mpc, u0, servers, ref := contractionSetup(t, 4)
-	rep, err := EstimateContraction(model, mpc, u0, servers, workload.TableI(), ref, 40)
+	model, mpc, u0, ref := contractionSetup(t, 4)
+	rep, err := EstimateContraction(model, mpc, u0, workload.TableI(), ref, 40)
 	if err != nil {
 		t.Fatalf("EstimateContraction: %v", err)
 	}
@@ -249,17 +245,17 @@ func TestContractionStartedConverged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	servers := make([]int, top.N())
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
 	// Reference equals the starting powers under the folded accounting.
 	u0 := target.Allocation.Vector()
-	rates, err := model.PowerRates(u0, effectiveServers(model, u0, servers))
+	servers, err := effectiveServers(model, u0)
+	if err != nil {
+		t.Fatalf("effectiveServers: %v", err)
+	}
+	rates, err := model.PowerRates(u0, servers)
 	if err != nil {
 		t.Fatalf("PowerRates: %v", err)
 	}
-	rep, err := EstimateContraction(model, mpc, u0, servers, workload.TableI(), rates, 10)
+	rep, err := EstimateContraction(model, mpc, u0, workload.TableI(), rates, 10)
 	if err != nil {
 		t.Fatalf("EstimateContraction: %v", err)
 	}

@@ -39,10 +39,6 @@ func structuredTestMPC(t *testing.T, forceDense bool) (*MPC, StepInput) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]int, n)
-	for j := range servers {
-		servers[j] = top.IDC(j).TotalServers
-	}
 	mpc, err := NewMPC(MPCConfig{
 		PowerWeight: 1, SmoothWeight: 4,
 		PredHorizon: 6, CtrlHorizon: 4,
@@ -58,7 +54,6 @@ func structuredTestMPC(t *testing.T, forceDense bool) (*MPC, StepInput) {
 		Model:    model,
 		State:    make([]float64, model.StateDim()),
 		PrevU:    ref.Allocation.Vector(),
-		Servers:  servers,
 		Demands:  demands,
 		RefPower: ref.PowerWatts,
 	}

@@ -175,8 +175,8 @@ func (t *Topology) ConservationMatrix() *mat.Dense {
 
 // LatencyMatrix builds the Ψ of the latency/capacity inequalities Ψ·U ≤ φ
 // (eqs. 30–33): row j sums IDC j's received workload. Like the conservation
-// H it is purely structural; the server counts enter only the right-hand
-// side (see LatencyRHSInto).
+// H it is purely structural; the caps φ enter only the right-hand side
+// (the MPC's are the full-fleet Capacities).
 func (t *Topology) LatencyMatrix() *mat.Dense {
 	psi := mat.Zeros(len(t.idcs), t.NU())
 	for j := range t.idcs {
@@ -185,25 +185,6 @@ func (t *Topology) LatencyMatrix() *mat.Dense {
 		}
 	}
 	return psi
-}
-
-// LatencyRHSInto writes the φ of Ψ·U ≤ φ into dst, which must have
-// length N: φ_j = µ_j·m_j − 1/D_j for the given active-server counts.
-func (t *Topology) LatencyRHSInto(dst []float64, servers []int) error {
-	if len(servers) != len(t.idcs) {
-		return fmt.Errorf("%d server counts for %d IDCs: %w", len(servers), len(t.idcs), ErrBadTopology)
-	}
-	if len(dst) != len(t.idcs) {
-		return fmt.Errorf("latency rhs dst length %d for %d IDCs: %w", len(dst), len(t.idcs), ErrBadTopology)
-	}
-	for j := range t.idcs {
-		cap, err := queueing.MaxThroughput(servers[j], t.idcs[j].ServiceRate, t.idcs[j].DelayBound)
-		if err != nil {
-			return fmt.Errorf("idc %s: %w", t.idcs[j].Name, err)
-		}
-		dst[j] = cap
-	}
-	return nil
 }
 
 // Allocation is a workload assignment λ_{ij} stored in U order.

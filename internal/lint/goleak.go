@@ -17,7 +17,7 @@ import (
 //   - the spawned call receives a context.Context argument (cancellation
 //     is plumbed in), or
 //   - the goroutine body ranges over a channel (it exits when the producer
-//     closes the channel — the sim pipeline pattern), or
+//     closes the channel), or
 //   - the goroutine body receives from a done-style channel or from
 //     ctx.Done(), directly or in a select, or
 //   - the goroutine is joined: its body calls (*sync.WaitGroup).Done and

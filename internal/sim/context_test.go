@@ -37,7 +37,7 @@ func TestRunContextCancelReturnsPartialResult(t *testing.T) {
 	if got := res.Control.Steps(); got != 10 {
 		t.Fatalf("partial control steps = %d, want 10", got)
 	}
-	// The pipelined baseline must have drained to the same length.
+	// The baseline runs beside every recorded control step.
 	if res.Optimal == nil || res.Optimal.Steps() != 10 {
 		t.Fatalf("partial baseline steps = %d, want 10", res.Optimal.Steps())
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunContextPanicDoesNotLeakBaseline pins the deferred baseline join:
-// a panic out of the demand callback must still close the pipeline channel
-// and wait for the worker, not strand it parked on baseCh forever.
+// TestRunContextPanicDoesNotLeakBaseline checks that a panic out of the
+// demand callback leaves no goroutine behind: the optimal baseline runs on
+// the loop's own goroutine, so nothing is left to join.
 func TestRunContextPanicDoesNotLeakBaseline(t *testing.T) {
 	leaktest.Check(t, func() {
 		sc := paperScenario()
@@ -38,8 +38,8 @@ func TestRunContextPanicDoesNotLeakBaseline(t *testing.T) {
 }
 
 // TestRunContextEarlyCancelDoesNotLeak covers the zero-step path: with ctx
-// already canceled the baseline goroutine has been spawned but fed
-// nothing, and must still be joined before RunContext returns.
+// already canceled RunContext returns before its first step and leaves no
+// goroutine behind.
 func TestRunContextEarlyCancelDoesNotLeak(t *testing.T) {
 	leaktest.Check(t, func() {
 		ctx, cancel := context.WithCancel(context.Background())

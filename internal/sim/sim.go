@@ -253,71 +253,9 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 		res.Optimal = newSeries(n, sc.Steps)
 	}
 
-	// The optimal-method baseline is independent of the control loop (it
-	// only consumes each step's telemetry), so it runs pipelined on its own
-	// goroutine: a single ordered worker consumes steps as the controller
-	// produces them, preserving the sequential accumulation order — the
-	// recorded series are value-identical to an inline baseline.
-	var baseErr error
-	var baseCh chan *core.Telemetry
-	baseDone := make(chan struct{})
-	if res.Optimal != nil {
-		baseCh = make(chan *core.Telemetry, 64)
-		go func(ch <-chan *core.Telemetry) {
-			defer close(baseDone)
-			var baseCum float64
-			for tel := range ch {
-				if baseErr != nil {
-					continue // drain after first failure
-				}
-				// The baseline sees the same prices (and demand copy) the
-				// controller saw; core floors negative prices at the
-				// source, so no per-step clamp is needed here.
-				opt, err := alloc.PriceOrdered(sc.Topology, tel.Prices, tel.Demands)
-				if err != nil {
-					baseErr = fmt.Errorf("sim: baseline step %d: %w", tel.Step, err)
-					continue
-				}
-				var rate float64
-				for j := 0; j < n; j++ {
-					rate += tel.Prices[j] * power.WattsToMW(opt.PowerWatts[j])
-				}
-				baseCum += rate * sc.Ts / 3600
-				res.Optimal.TimeMin = append(res.Optimal.TimeMin, float64(tel.Step)*sc.Ts/60)
-				res.Optimal.Hours = append(res.Optimal.Hours, tel.Hour)
-				res.Optimal.CostRate = append(res.Optimal.CostRate, rate)
-				res.Optimal.CumulativeCost = append(res.Optimal.CumulativeCost, baseCum)
-				for j := 0; j < n; j++ {
-					res.Optimal.PowerWatts[j] = append(res.Optimal.PowerWatts[j], opt.PowerWatts[j])
-					res.Optimal.Servers[j] = append(res.Optimal.Servers[j], opt.Servers[j])
-					res.Optimal.RefPowerWatts[j] = append(res.Optimal.RefPowerWatts[j], opt.PowerWatts[j])
-					res.Optimal.Prices[j] = append(res.Optimal.Prices[j], tel.Prices[j])
-				}
-			}
-		}(baseCh)
-	} else {
-		close(baseDone)
-	}
-	finishBaseline := func() error {
-		if baseCh != nil {
-			close(baseCh)
-			baseCh = nil
-		}
-		<-baseDone
-		return baseErr
-	}
-	// The explicit finishBaseline calls below handle the error paths; this
-	// deferred join (idempotent: baseCh is nilled on first close, baseDone
-	// stays closed) covers panics out of the demand source, Step, or
-	// recordControl, which would otherwise strand the baseline worker
-	// parked on baseCh forever.
-	defer finishBaseline() //nolint:errcheck // the panic in flight takes precedence
-
+	var baseCum float64
 	for k := 0; k < sc.Steps; k++ {
 		if err := ctx.Err(); err != nil {
-			if berr := finishBaseline(); berr != nil {
-				return nil, berr
-			}
 			return res, err
 		}
 		smp, err := demandSrc.Next(ctx)
@@ -330,27 +268,41 @@ func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 				// The source surfaced our own cancellation: the partial-
 				// result contract applies, same as the ctx check above.
-				if berr := finishBaseline(); berr != nil {
-					return nil, berr
-				}
 				return res, err
 			}
-			finishBaseline() //nolint:errcheck // feed error takes precedence
 			return nil, fmt.Errorf("sim: demand feed step %d: %w", k, err)
 		}
 		demands := smp.Values
 		tel, err := controller.Step(demands)
 		if err != nil {
-			finishBaseline() //nolint:errcheck // control error takes precedence
 			return nil, fmt.Errorf("sim: control step %d: %w", k, err)
 		}
 		recordControl(res.Control, tel, float64(k)*sc.Ts/60)
-		if baseCh != nil {
-			baseCh <- tel
+		if res.Optimal == nil {
+			continue
 		}
-	}
-	if err := finishBaseline(); err != nil {
-		return nil, err
+		// The baseline sees the same prices (and demand copy) the
+		// controller saw; core floors negative prices at the source, so no
+		// per-step clamp is needed here.
+		opt, err := alloc.PriceOrdered(sc.Topology, tel.Prices, tel.Demands)
+		if err != nil {
+			return nil, fmt.Errorf("sim: baseline step %d: %w", tel.Step, err)
+		}
+		var rate float64
+		for j := 0; j < n; j++ {
+			rate += tel.Prices[j] * power.WattsToMW(opt.PowerWatts[j])
+		}
+		baseCum += rate * sc.Ts / 3600
+		res.Optimal.TimeMin = append(res.Optimal.TimeMin, float64(tel.Step)*sc.Ts/60)
+		res.Optimal.Hours = append(res.Optimal.Hours, tel.Hour)
+		res.Optimal.CostRate = append(res.Optimal.CostRate, rate)
+		res.Optimal.CumulativeCost = append(res.Optimal.CumulativeCost, baseCum)
+		for j := 0; j < n; j++ {
+			res.Optimal.PowerWatts[j] = append(res.Optimal.PowerWatts[j], opt.PowerWatts[j])
+			res.Optimal.Servers[j] = append(res.Optimal.Servers[j], opt.Servers[j])
+			res.Optimal.RefPowerWatts[j] = append(res.Optimal.RefPowerWatts[j], opt.PowerWatts[j])
+			res.Optimal.Prices[j] = append(res.Optimal.Prices[j], tel.Prices[j])
+		}
 	}
 	return res, nil
 }

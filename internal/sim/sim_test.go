@@ -326,10 +326,8 @@ func TestScaleBeyondPaper(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic pins the pipelined baseline's value-identity: the
-// optimal-method worker runs concurrently with the control loop, but its
-// ordered, single-consumer design must make repeated runs of one scenario
-// produce bitwise-identical series for both methods.
+// TestRunDeterministic pins run-to-run value-identity: repeated runs of one
+// scenario must produce bitwise-identical series for both methods.
 func TestRunDeterministic(t *testing.T) {
 	sc := paperScenario()
 	sc.Steps = 130 // cross the 6H→7H flip
@@ -347,7 +345,7 @@ func TestRunDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Optimal, b.Optimal) {
 		t.Fatal("optimal series differ between identical runs")
 	}
-	// The baseline must cover every step in order despite the pipelining.
+	// The baseline must cover every step in order.
 	if b.Optimal.Steps() != sc.Steps {
 		t.Fatalf("optimal steps = %d, want %d", b.Optimal.Steps(), sc.Steps)
 	}
