@@ -1,11 +1,11 @@
 // Command idclint runs the repo's static-analysis suite (internal/lint):
 // repo-specific analyzers that machine-check the kernel aliasing
-// contracts, the hot-path zero-allocation contract, the Model
-// version-bump protocol, exact float comparisons, by-value copies of
-// scratch-carrying structs, and the concurrency-and-determinism pack —
-// goroutine termination evidence, mutexes held across blocking calls,
-// context plumbing, atomic/plain mixed access, and map-order-dependent
-// sinks — plus exported internal functions that only tests call.
+// contracts, the hot-path zero-allocation contract, exact float
+// comparisons, by-value copies of scratch-carrying structs, and the
+// concurrency-and-determinism pack — goroutine termination evidence,
+// mutexes held across blocking calls, context plumbing, atomic/plain mixed
+// access, and map-order-dependent sinks — plus exported internal functions
+// that only tests call.
 //
 // Usage:
 //

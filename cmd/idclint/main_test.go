@@ -14,7 +14,7 @@ func TestListExitsZero(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want 0; stderr: %s", code, errOut.String())
 	}
 	for _, name := range []string{
-		"aliasing", "hotalloc", "versionbump", "floateq", "nocopy",
+		"aliasing", "hotalloc", "floateq", "nocopy",
 		"goleak", "locksafe", "ctxflow", "atomicmix", "maporder",
 	} {
 		if !strings.Contains(out.String(), name) {

@@ -176,7 +176,7 @@ func mpcInstruments(reg *obs.Registry) ctrl.Instruments {
 	return ctrl.Instruments{
 		CacheHits:   reg.Counter("idc_mpc_cache_hits_total", "MPC steps served from the condensed-matrix cache"),
 		CacheMisses: reg.Counter("idc_mpc_cache_misses_total", "MPC steps that rebuilt the condensed matrices"),
-		ModelSwaps:  reg.Counter("idc_mpc_model_swaps_total", "condensed-cache invalidations from a new or bumped Model"),
+		ModelSwaps:  reg.Counter("idc_mpc_model_swaps_total", "condensed-cache invalidations from a newly built Model"),
 		QP: qp.Instruments{
 			Iterations:     reg.Counter("idc_qp_iterations_total", "active-set iterations across fast-loop QP solves"),
 			Factorizations: reg.Counter("idc_qp_factorizations_total", "Cholesky factorizations of the QP Hessian"),

@@ -18,7 +18,7 @@ import (
 // TestCondensedCacheBitIdentical drives a cached and an uncached MPC in
 // lockstep through a closed loop that crosses both kinds of invalidation
 // the controller sees in production: a same-price slow-tick rebuild (new
-// Model pointer/version, identical matrices) and the 6H→7H price flip. The
+// Model pointer, identical matrices) and the 6H→7H price flip. The
 // outputs must match bit for bit — the condensed cache and the QP workspace
 // may only ever reuse values the cold path computes with identical
 // arithmetic.
@@ -32,7 +32,7 @@ func TestCondensedCacheBitIdentical(t *testing.T) {
 	}
 
 	// Model schedule mimicking hourly slow ticks: steps 0–9 on the 6H
-	// model, a same-price rebuild at step 10 (fresh version), the price
+	// model, a same-price rebuild at step 10 (a new pointer), the price
 	// flip to 7H at step 20.
 	m6 := newTestModel(t, testPrices6H, ts)
 	m6b := newTestModel(t, testPrices6H, ts)
@@ -383,7 +383,8 @@ func finite(xs []float64) bool {
 
 // TestWarmStartInvalidatedOnModelChange pins the staleness fix: a plan from
 // the previous price hour must not seed the first solve against a rebuilt
-// model.
+// model. Every build is a new identity, so a second build at the same
+// prices drops the plan and rebuilds the cache as well.
 func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	top := idc.PaperTopology()
 	m6 := newTestModel(t, testPrices6H, 30)
@@ -401,15 +402,19 @@ func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMPC: %v", err)
 	}
-	if _, err := mpc.Step(StepInput{
-		Model: m6, State: make([]float64, top.N()+1), PrevU: u,
-		Demands: workload.TableI(), RefPower: refPower,
-	}); err != nil {
-		t.Fatalf("Step: %v", err)
+	step := func(model *Model) {
+		t.Helper()
+		if _, err := mpc.Step(StepInput{
+			Model: model, State: make([]float64, top.N()+1), PrevU: u,
+			Demands: workload.TableI(), RefPower: refPower,
+		}); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if mpc.prevZ == nil {
+			t.Fatalf("no warm-start plan recorded after a solve")
+		}
 	}
-	if mpc.prevZ == nil {
-		t.Fatalf("no warm-start plan recorded after a solve")
-	}
+	step(m6)
 	if _, err := mpc.condensedFor(m7); err != nil {
 		t.Fatalf("condensedFor: %v", err)
 	}
@@ -424,18 +429,16 @@ func TestWarmStartInvalidatedOnModelChange(t *testing.T) {
 	if cd != mpc.cache {
 		t.Fatalf("repeat condensedFor rebuilt instead of reusing the cache")
 	}
-}
-
-// TestModelVersionsUnique pins the invalidation signal: every construction
-// yields a distinct version.
-func TestModelVersionsUnique(t *testing.T) {
-	a := newTestModel(t, testPrices6H, 30)
-	b := newTestModel(t, testPrices6H, 30)
-	if a.Version() == b.Version() {
-		t.Fatalf("two models share version %d", a.Version())
+	step(m7)
+	m7b := newTestModel(t, testPrices7H, 30)
+	rebuilt, err := mpc.condensedFor(m7b)
+	if err != nil {
+		t.Fatalf("condensedFor: %v", err)
 	}
-	c := newTestModel(t, testPrices7H, 30)
-	if c.Version() == a.Version() || c.Version() == b.Version() {
-		t.Fatalf("a third build reused a version")
+	if mpc.prevZ != nil {
+		t.Fatalf("warm-start plan survived a second build at the same prices")
+	}
+	if rebuilt == cd || rebuilt.model != m7b {
+		t.Fatalf("a second build at the same prices reused the first build's cache")
 	}
 }

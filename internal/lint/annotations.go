@@ -15,7 +15,6 @@ import (
 //	                                         hotalloc trusts it and does not
 //	                                         traverse into it from hot roots
 //	//lint:nocopy              (doc comment) struct must not be copied by value
-//	//lint:versioned bump      (doc comment) field writes require the bump method
 //	//lint:nocx why            (doc comment) function's concurrency is deliberately
 //	                                         not context-scoped; ctxflow accepts it
 //	//lint:allow floateq       (anywhere)    suppress an analyzer file-wide
@@ -29,7 +28,7 @@ const directivePrefix = "//lint:"
 
 // directive is one parsed //lint: comment.
 type directive struct {
-	Verb string   // "noalias", "hotpath", "hotsafe", "nocopy", "versioned", "nocx", "allow", "ignore"
+	Verb string   // "noalias", "hotpath", "hotsafe", "nocopy", "nocx", "allow", "ignore"
 	Args []string // verb-specific operands
 	Pos  token.Pos
 }
@@ -119,10 +118,6 @@ func parseDirective(c *ast.Comment) (directive, bool, string) {
 	case "nocx":
 		if len(d.Args) == 0 {
 			return directive{}, false, "malformed //lint:nocx: want a reason, e.g. //lint:nocx server lifetime is managed by the stop closure"
-		}
-	case "versioned":
-		if len(d.Args) != 1 {
-			return directive{}, false, "malformed //lint:versioned: want exactly one bump-method name"
 		}
 	case "allow":
 		if len(d.Args) == 0 {

@@ -1,9 +1,8 @@
 // Package lint implements idclint, the repo's static-analysis suite. It
 // machine-checks the contracts the fast control loop relies on but the Go
 // compiler cannot see: the *Into kernel aliasing rules (DESIGN.md §3.5),
-// the zero-allocation steady state of the MPC/QP/LP hot paths, the
-// Version()-keyed condensed-cache invalidation protocol on ctrl.Model,
-// exact float comparisons, and by-value copies of scratch-carrying structs.
+// the zero-allocation steady state of the MPC/QP/LP hot paths, exact float
+// comparisons, and by-value copies of scratch-carrying structs.
 //
 // The engine is deliberately stdlib-only: packages load via `go list
 // -export` plus go/importer, analyzers walk go/ast with go/types facts,
@@ -34,15 +33,14 @@ type Analyzer struct {
 	Run  func(*Program) []Diagnostic
 }
 
-// Analyzers is the full suite, in report order. The first five check the
-// fast-loop memory contracts (PR 3); the concurrency-and-determinism pack
+// Analyzers is the full suite, in report order. The first four check the
+// fast-loop memory contracts; the concurrency-and-determinism pack
 // (goleak, locksafe, ctxflow, atomicmix, maporder) makes the tree
 // daemon-ready by construction — see DESIGN.md §3.11; testonly keeps
 // test-only surface out of the non-test files (DESIGN.md §3.6).
 var Analyzers = []*Analyzer{
 	AliasingAnalyzer,
 	HotallocAnalyzer,
-	VersionbumpAnalyzer,
 	FloateqAnalyzer,
 	NocopyAnalyzer,
 	GoleakAnalyzer,

@@ -77,7 +77,7 @@ func checkExpectations(t *testing.T, prog *Program, diags []Diagnostic) {
 
 func TestFixtures(t *testing.T) {
 	for _, name := range []string{
-		"aliasing", "hotalloc", "versionbump", "floateq", "nocopy",
+		"aliasing", "hotalloc", "floateq", "nocopy",
 		"goleak", "locksafe", "ctxflow", "atomicmix", "maporder",
 		"testonly",
 	} {
@@ -106,7 +106,6 @@ func TestMalformedDirectives(t *testing.T) {
 	diags := Run(prog, nil)
 	want := []string{
 		"unknown //lint: directive frobnicate",
-		"malformed //lint:versioned",
 		"malformed //lint:hotpath",
 		"malformed //lint:hotsafe",
 		"malformed //lint:nocx",
@@ -157,8 +156,8 @@ func TestRepoClean(t *testing.T) {
 
 func TestFuncKeyForms(t *testing.T) {
 	t.Parallel()
-	prog := loadFixture(t, "versionbump")
-	for _, key := range []string{"fixture/versionbump.New", "fixture/versionbump.Model.bump", "fixture/versionbump.Model.SetK"} {
+	prog := loadFixture(t, "nocopy")
+	for _, key := range []string{"fixture/nocopy.byPointer", "fixture/nocopy.Workspace.ptrMethod", "fixture/nocopy.Workspace.valMethod"} {
 		if prog.funcs[key] == nil {
 			keys := make([]string, 0, len(prog.funcs))
 			for k := range prog.funcs {

@@ -5,9 +5,6 @@ package directive
 //lint:frobnicate
 func unknownVerb() {}
 
-//lint:versioned
-type missingArg struct{}
-
 //lint:hotpath extra args here
 func hotpathWithArgs() {}
 
